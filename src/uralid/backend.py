@@ -1,9 +1,10 @@
 """Scoring kernels: numba-compiled hot loop with a pure-numpy fallback.
 
-The per-word inner loop gathers feature scores for every candidate language
-and averages them, substituting the penalty for features a candidate has
-never seen. That loop dominates identification time, so it ships in two
-interchangeable implementations:
+The kernel scores a batch of words in one feature domain: it gathers each
+word's feature scores for every candidate language and averages them,
+substituting the penalty for features a candidate has never seen. That
+work dominates identification time, so it ships in two interchangeable
+implementations:
 
 * ``numba`` -- @njit compiled, nogil (default when numba imports cleanly);
 * ``numpy`` -- vectorized fancy indexing, no compilation step.
@@ -12,14 +13,18 @@ Selection: the ``ULI_BACKEND`` environment variable (``numba``, ``numpy``
 or ``auto``), overridable per call via ``resolve_backend``. Both kernels
 share one contract:
 
-    kernel(feature_ids, score_matrix, candidate_rows, penalty, out) -> bool
+    kernel(feature_ids, offsets, counts, score_matrix, candidate_rows, penalty)
+        -> (scores, usable)
 
-``feature_ids`` holds column indices (-1 for out-of-vocabulary features),
-``score_matrix`` holds per-language scores with negative sentinel for
-absent features, ``out`` receives the per-candidate mean. The return value
-says whether any candidate had any of the features, which drives the
-backoff over feature domains. The two implementations may differ in the
-last float ulp (loop sum vs pairwise sum); each is individually
+``feature_ids`` is the concatenation of every word's feature column indices
+(-1 for out-of-vocabulary features); word ``w`` owns the ``counts[w] >= 1``
+entries starting at ``offsets[w]``. ``score_matrix`` holds per-language
+scores with a negative sentinel for absent features. ``scores[w, i]`` is
+the mean over word ``w``'s features of candidate ``i``'s score, and
+``usable[w]`` says whether any candidate had any of the word's features,
+which drives the backoff over feature domains. A word's results do not
+depend on the other words of the batch. The two implementations may differ
+in the last float ulp (loop sum vs pairwise sum); each is individually
 deterministic.
 """
 
@@ -31,39 +36,62 @@ import numpy as np
 
 ENV_BACKEND = "ULI_BACKEND"
 
-
-def _numpy_kernel(feature_ids, score_matrix, candidate_rows, penalty, out):
-    k = feature_ids.shape[0]
-    known = feature_ids[feature_ids >= 0]
-    if known.shape[0] == 0:
-        out[:] = penalty
-        return False
-    sub = score_matrix[candidate_rows[:, None], known[None, :]]
-    present = sub >= 0.0
-    vals = np.where(present, sub, penalty)
-    out[:] = (vals.sum(axis=1) + penalty * (k - known.shape[0])) / k
-    return bool(present.any())
+# Most float64 entries one gather of the numpy kernel may hold, so that its
+# temporaries stay a few MB whatever the batch size.
+_GATHER_LIMIT = 1 << 18
 
 
-def _scalar_kernel(feature_ids, score_matrix, candidate_rows, penalty, out):
-    k = feature_ids.shape[0]
-    usable = False
-    for i in range(candidate_rows.shape[0]):
-        row = candidate_rows[i]
-        acc = 0.0
-        for j in range(k):
-            col = feature_ids[j]
-            if col >= 0:
-                score = score_matrix[row, col]
-                if score >= 0.0:
-                    acc += score
-                    usable = True
+def _numpy_kernel(feature_ids, offsets, counts, score_matrix, candidate_rows, penalty):
+    n_words = counts.shape[0]
+    n_rows = candidate_rows.shape[0]
+    scores = np.full((n_words, n_rows), penalty, dtype=np.float64)
+    usable = np.zeros(n_words, dtype=np.bool_)
+    is_known = feature_ids >= 0
+    known_ids = feature_ids[is_known]
+    n_known = np.add.reduceat(is_known, offsets, dtype=np.int64)
+    known_starts = n_known.cumsum() - n_known
+    # Words with the same number m of known features share one (words, rows, m)
+    # gather; its sum over the last axis adds each word's m values exactly as
+    # a one-word (rows, m) gather would, so batching never changes a bit.
+    for m in sorted(set(n_known.tolist()) - {0}):
+        words = (n_known == m).nonzero()[0]
+        step = max(1, _GATHER_LIMIT // (n_rows * m))
+        for first in range(0, words.shape[0], step):
+            block = words[first : first + step]
+            cols = known_ids[known_starts[block][:, None] + np.arange(m)]
+            sub = score_matrix[candidate_rows[None, :, None], cols[:, None, :]]
+            present = sub >= 0.0
+            vals = np.where(present, sub, penalty)
+            k = counts[block]
+            scores[block] = (vals.sum(axis=2) + (penalty * (k - m))[:, None]) / k[:, None]
+            usable[block] = present.any(axis=(1, 2))
+    return scores, usable
+
+
+def _scalar_kernel(feature_ids, offsets, counts, score_matrix, candidate_rows, penalty):
+    n_words = counts.shape[0]
+    n_rows = candidate_rows.shape[0]
+    scores = np.empty((n_words, n_rows), dtype=np.float64)
+    usable = np.zeros(n_words, dtype=np.bool_)
+    for w in range(n_words):
+        start = offsets[w]
+        k = counts[w]
+        for i in range(n_rows):
+            row = candidate_rows[i]
+            acc = 0.0
+            for j in range(start, start + k):
+                col = feature_ids[j]
+                if col >= 0:
+                    score = score_matrix[row, col]
+                    if score >= 0.0:
+                        acc += score
+                        usable[w] = True
+                    else:
+                        acc += penalty
                 else:
                     acc += penalty
-            else:
-                acc += penalty
-        out[i] = acc / k
-    return usable
+            scores[w, i] = acc / k
+    return scores, usable
 
 
 try:
@@ -113,6 +141,8 @@ def warmup(name: str | None = None) -> None:
     """Trigger JIT compilation outside of timed or threaded sections."""
     kernel = get_kernel(name)
     ids = np.array([0, -1], dtype=np.int64)
+    offsets = np.array([0], dtype=np.int64)
+    counts = np.array([2], dtype=np.int64)
     matrix = np.array([[0.5, -1.0]], dtype=np.float64)
     rows = np.array([0], dtype=np.int64)
-    kernel(ids, matrix, rows, 7.0, np.empty(1, dtype=np.float64))
+    kernel(ids, offsets, counts, matrix, rows, 7.0)

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data error. Every flag can be
 overridden by an ``ULI_``-prefixed environment variable named after its
 destination (``ULI_N_MAX``, ``ULI_THREADS``, ``ULI_BACKEND``, ...); the
-environment wins over the command line.
+environment wins over the command line. ``ULI_BACKEND`` also picks the
+scoring kernel of ``pipeline``, which has no ``--backend`` flag.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .backend import BACKENDS, BackendUnavailable
+from .backend import BACKENDS, BackendUnavailable, resolve_backend
 from .corpus import load_corpus, sniff_format
-from .errors import DataError
+from .errors import DataError, decode_utf8, read_utf8
 from .evaluation import compute_track_scores, confusion, format_track_scores, load_labels, report
 from .identifier import format_prediction, identify_batch, main_throughput_note
 from .models import HeliParams, load_models, save_models, train_models
@@ -183,13 +184,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_stdin() -> str:
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:  # a text-only stream such as io.StringIO has no bytes to check
+        return sys.stdin.read()
+    return decode_utf8(buffer.read(), "<stdin>")
+
+
 def cmd_identify(args) -> int:
+    backend = resolve_backend(args.backend)  # a bad ULI_BACKEND fails before the load
     model_set = load_models(args.models)
-    model_set.scorer(args.backend)
-    if args.input:
-        sentences = Path(args.input).read_text(encoding="utf-8").splitlines()
-    else:
-        sentences = sys.stdin.read().splitlines()
+    model_set.scorer(backend)
+    sentences = (read_utf8(args.input) if args.input else _read_stdin()).splitlines()
     candidates = args.candidates.split(",") if args.candidates else None
 
     started = time.perf_counter()
@@ -224,7 +230,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    backend = resolve_backend(None)  # ULI_BACKEND, checked before the load
     model_set = load_models(args.models)
+    model_set.scorer(backend)
     pages = load_pages(args.pages)
     sentences, funnel = run_pipeline(
         pages, model_set, PipelineConfig(min_share=args.min_share)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 FORMATS = ("plain", "indexed")
 
@@ -49,11 +49,7 @@ def load_corpus(path, language: str, format: str = "plain") -> Corpus:
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     path = Path(path)
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from None
+    text = read_utf8(path)
 
     sentences: list[str] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .registry import LanguageRegistry
 
 
@@ -183,7 +183,7 @@ def load_labels(path, registry: LanguageRegistry) -> list[str]:
     """Read a label file: either ``sentence<TAB>code`` rows or bare codes."""
     path = Path(path)
     labels: list[str] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
             continue

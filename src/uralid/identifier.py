@@ -12,6 +12,15 @@ registered first.
 Texts dominated by CJK characters get a sanity adjustment: when more than
 half of the non-whitespace characters fall in CJK blocks, every non-CJK
 candidate is pushed out of contention by a large constant.
+
+Words are scored in batches: ``Scorer.score_words`` takes the words a
+caller is about to need, skips those already in the word cache and walks
+the backoff order over the rest, one kernel call per feature domain for
+every word still unresolved there (see ``backend`` for the kernel
+contract). A word's scores do not depend on the batch it was scored in.
+``identify_batch`` and ``identify_set`` score the unique words of each
+chunk of sentences or lines this way before predicting each one, and
+``Scorer.word_winners`` scores a sentence's words as one batch.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -34,10 +44,9 @@ CJK_HIGH_PENALTY = 1000.0
 # Word-score cache entries kept per scorer before a full reset.
 _CACHE_LIMIT = 1 << 20
 
-# All Unicode whitespace lives at or below U+3000.
-_WS_CODEPOINTS = np.array(
-    sorted(cp for cp in range(0x3001) if chr(cp).isspace()), dtype=np.uint32
-)
+# Sentences (or lines) whose new words are scored together: bounds the
+# memory one batch takes and is the unit of work handed to each thread.
+_CHUNK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -59,17 +68,17 @@ class SetIdentification:
 
 def cjk_ratio(text: str, blocks=DEFAULT_CJK_BLOCKS) -> float:
     """Fraction of non-whitespace characters inside CJK blocks."""
-    if not text:
+    # no character can be in a block when even the largest one is below them all
+    if not text or ord(max(text)) < min(blocks, default=(0x110000,))[0]:
         return 0.0
-    cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    non_ws = ~np.isin(cp, _WS_CODEPOINTS)
-    denominator = int(non_ws.sum())
-    if denominator == 0:
+    visible = "".join(text.split())  # str.split drops exactly the str.isspace characters
+    if not visible:
         return 0.0
+    cp = np.frombuffer(visible.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     in_cjk = np.zeros(cp.shape[0], dtype=bool)
     for lo, hi in blocks:
         in_cjk |= (cp >= lo) & (cp <= hi)
-    return int((in_cjk & non_ws).sum()) / denominator
+    return int(in_cjk.sum()) / len(visible)
 
 
 def apply_cjk_sanity(
@@ -125,13 +134,18 @@ class Scorer:
             self._vocabs[domain] = vocab
             self._matrices[domain] = matrix
 
+        self._backoff = ([WORD_DOMAIN] if self.params.use_words else []) + [
+            str(n) for n in range(self.params.n_max, 0, -1)
+        ]
+
         # compile / warm the kernel before any threaded use
         self._kernel(
             np.array([0, -1], dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+            np.full(1, 2, dtype=np.int64),
             np.full((1, 1), -1.0, dtype=np.float64),
             np.zeros(1, dtype=np.int64),
             self.penalty,
-            np.empty(1, dtype=np.float64),
         )
 
     def candidate_rows(self, candidates=None) -> tuple[np.ndarray, list[str]]:
@@ -148,72 +162,118 @@ class Scorer:
         rows = np.array([self.registry.index(c) for c in codes], dtype=np.int64)
         return rows, codes
 
-    def _ids(self, domain: str, features: list[str]) -> np.ndarray:
-        vocab = self._vocabs[domain]
-        return np.fromiter(
-            (vocab.get(f, -1) for f in features), dtype=np.int64, count=len(features)
-        )
+    def _score_new(
+        self, words: list[str], rows: np.ndarray
+    ) -> list[tuple[np.ndarray, str | None]]:
+        """Scores and domain of distinct uncached words, by backoff over the batch."""
+        results: list[tuple[np.ndarray, str | None] | None] = [None] * len(words)
+        unresolved = list(range(len(words)))
+        for domain in self._backoff:
+            n = None if domain == WORD_DOMAIN else int(domain)
+            get = self._vocabs[domain].get
+            batch, ids, counts = [], [], []
+            for i in unresolved:
+                features = [pad_word(words[i])] if n is None else extract_ngrams(words[i], n)
+                word_ids = list(map(get, features, repeat(-1)))
+                if word_ids and max(word_ids) >= 0:  # else no model has any of its features
+                    batch.append(i)
+                    counts.append(len(word_ids))
+                    ids += word_ids
+            if not batch:
+                continue
+            count_array = np.array(counts, dtype=np.int64)
+            scores, usable = self._kernel(
+                np.array(ids, dtype=np.int64),
+                count_array.cumsum() - count_array,
+                count_array,
+                self._matrices[domain],
+                rows,
+                self.penalty,
+            )
+            scores.setflags(write=False)
+            for j, (i, found) in enumerate(zip(batch, usable.tolist())):
+                if found:
+                    results[i] = (scores[j], domain)
+            unresolved = [i for i in unresolved if results[i] is None]
+            if not unresolved:
+                break
+        if unresolved:
+            nothing = np.full(rows.shape[0], self.penalty)
+            nothing.setflags(write=False)
+            for i in unresolved:
+                results[i] = (nothing, None)
+        return results
 
-    def _score_word(self, word: str, rows: np.ndarray) -> tuple[np.ndarray, str | None]:
-        out = np.empty(rows.shape[0], dtype=np.float64)
-        if self.params.use_words:
-            ids = self._ids(WORD_DOMAIN, [pad_word(word)])
-            if ids[0] >= 0 and self._kernel(
-                ids, self._matrices[WORD_DOMAIN], rows, self.penalty, out
-            ):
-                return out, WORD_DOMAIN
-        for n in range(self.params.n_max, 0, -1):
-            grams = extract_ngrams(word, n)
-            if not grams:
-                continue
-            ids = self._ids(str(n), grams)
-            if ids.max() < 0:
-                continue
-            if self._kernel(ids, self._matrices[str(n)], rows, self.penalty, out):
-                return out, str(n)
-        out[:] = self.penalty
-        return out, None
+    def score_words(
+        self, words: list[str], rows: np.ndarray
+    ) -> list[tuple[np.ndarray, str | None]]:
+        """Memoized (scores, domain) of each word for the given candidate rows.
+
+        The words missing from the cache are scored together, one kernel
+        call per feature domain they reach. Score arrays are read-only.
+        """
+        key = rows.tobytes()
+        cache = self._cache
+        found = {word: cache.get((word, key)) for word in words}
+        new = [word for word, hit in found.items() if hit is None]
+        if new:
+            scored = self._score_new(new, rows)
+            found.update(zip(new, scored))
+            if len(cache) + len(new) > _CACHE_LIMIT:
+                cache = self._cache = {}
+            cache.update(((word, key), entry) for word, entry in zip(new, scored))
+        return [found[word] for word in words]
 
     def score_word(self, word: str, rows: np.ndarray) -> tuple[np.ndarray, str | None]:
         """Memoized per-word scores for the given candidate rows (read-only)."""
-        key = (word, rows.tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        scores, domain = self._score_word(word, rows)
-        scores.setflags(write=False)
-        if len(self._cache) >= _CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[key] = (scores, domain)
-        return scores, domain
+        return self.score_words([word], rows)[0]
 
     def score_sentence(
-        self, sentence: str, rows: np.ndarray
+        self, sentence: str, rows: np.ndarray, words: list[str] | None = None
     ) -> tuple[np.ndarray, tuple[tuple[str, str | None], ...]]:
-        """Mean per-word score vector and the per-word domain trace."""
-        words = tokenize(sentence)
+        """Mean per-word score vector and the per-word domain trace.
+
+        ``words`` are the sentence's tokens, for a caller that has them already.
+        """
+        if words is None:
+            words = tokenize(sentence)
         if not words:
             return np.full(rows.shape[0], self.penalty), ()
         acc = np.zeros(rows.shape[0], dtype=np.float64)
         trace = []
-        for word in words:
-            scores, domain = self.score_word(word, rows)
+        for word, (scores, domain) in zip(words, self.score_words(words, rows)):
             acc += scores
             trace.append((word, domain))
         acc /= len(words)
         return acc, tuple(trace)
 
+    def predict_chunk(
+        self, sentences: list[str], rows: np.ndarray, codes: list[str]
+    ) -> list[Prediction]:
+        """``predict`` for each sentence, after scoring their new words as one batch."""
+        tokens = [tokenize(sentence) for sentence in sentences]
+        self.score_words(list(chain.from_iterable(tokens)), rows)
+        return [
+            self.predict(sentence, rows, codes, words)
+            for sentence, words in zip(sentences, tokens)
+        ]
+
     def word_winners(self, sentence: str, rows: np.ndarray, codes: list[str]) -> list[str]:
         """Winning language per word (registry-order tie-break)."""
-        winners = []
-        for word in tokenize(sentence):
-            scores, _ = self.score_word(word, rows)
-            winners.append(codes[int(np.argmin(scores))])
-        return winners
+        return [
+            codes[int(np.argmin(scores))]
+            for scores, _ in self.score_words(tokenize(sentence), rows)
+        ]
 
-    def predict(self, sentence: str, rows: np.ndarray, codes: list[str]) -> Prediction:
-        raw, trace = self.score_sentence(sentence, rows)
-        scores = {code: float(raw[i]) for i, code in enumerate(codes)}
+    def predict(
+        self, sentence: str, rows: np.ndarray, codes: list[str], words: list[str] | None = None
+    ) -> Prediction:
+        """Winner, per-candidate scores and domain trace of one sentence.
+
+        ``words`` are the sentence's tokens, for a caller that has them already.
+        """
+        raw, trace = self.score_sentence(sentence, rows, words)
+        scores = dict(zip(codes, raw.tolist()))
         scores = apply_cjk_sanity(scores, sentence, self.registry)
         winner, best = None, float("inf")
         for code, score in scores.items():
@@ -261,29 +321,27 @@ def identify_batch(
     model_set: ModelSet,
     candidates=None,
     threads: int = 1,
-    chunk_size: int = 256,
+    chunk_size: int = _CHUNK_SIZE,
 ) -> list[Prediction]:
-    """Identify many sentences, fanning out to a thread pool.
+    """Identify many sentences, chunk by chunk, fanning out to a thread pool.
 
-    Results are returned in input order and are identical for any thread
-    count: each sentence is scored independently against the shared
-    read-only scorer.
+    The new words of each chunk of ``chunk_size`` sentences are scored as
+    one batch before its sentences are predicted. Results are returned in
+    input order and are identical for any thread count and chunk size: a
+    word's scores do not depend on the batch it was scored in.
     """
     sentences = list(sentences)
     scorer = model_set.scorer()
     rows, codes = scorer.candidate_rows(candidates)
-    if threads <= 1 or len(sentences) <= chunk_size:
-        return [scorer.predict(s, rows, codes) for s in sentences]
+    chunks = [sentences[i : i + chunk_size] for i in range(0, len(sentences), chunk_size)]
 
-    results: list[Prediction | None] = [None] * len(sentences)
+    def run_chunk(chunk: list[str]) -> list[Prediction]:
+        return scorer.predict_chunk(chunk, rows, codes)
 
-    def run_chunk(start: int) -> None:
-        for i in range(start, min(start + chunk_size, len(sentences))):
-            results[i] = scorer.predict(sentences[i], rows, codes)
-
+    if threads <= 1 or len(chunks) <= 1:
+        return list(chain.from_iterable(map(run_chunk, chunks)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_chunk, range(0, len(sentences), chunk_size)))
-    return results
+        return list(chain.from_iterable(pool.map(run_chunk, chunks)))
 
 
 def identify_set(
@@ -294,7 +352,8 @@ def identify_set(
 ) -> SetIdentification:
     """Estimate language shares of a multi-line text.
 
-    Each non-blank line is identified on its own; a language's share is the
+    Each non-blank line is identified on its own (the new words of each
+    chunk of lines are scored as one batch); a language's share is the
     fraction of characters in the lines it won. The dominant language is
     the relevant one with the greatest share, provided that share reaches
     ``min_share``; ties go to registry order. Only nonzero shares are
@@ -310,8 +369,11 @@ def identify_set(
     rows, codes = scorer.candidate_rows(candidates)
     chars_won: dict[str, int] = {}
     total = 0
-    for line in lines:
-        prediction = scorer.predict(line, rows, codes)
+    predictions = chain.from_iterable(
+        scorer.predict_chunk(lines[i : i + _CHUNK_SIZE], rows, codes)
+        for i in range(0, len(lines), _CHUNK_SIZE)
+    )
+    for line, prediction in zip(lines, predictions):
         chars_won[prediction.winner] = chars_won.get(prediction.winner, 0) + len(line)
         total += len(line)
     shares = {

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .identifier import identify_set
 from .models import ModelSet
 
@@ -243,9 +243,9 @@ def load_pages(path) -> list[Page]:
     pages: list[Page] = []
     if path.is_dir():
         for file in sorted(path.glob("*.txt")):
-            pages.append(Page(url=file.stem, text=file.read_text(encoding="utf-8")))
+            pages.append(Page(url=file.stem, text=read_utf8(file)))
         return pages
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         if not raw.strip():
             continue
         fields = raw.split("\t")

@@ -153,6 +153,74 @@ def test_pipeline_unavailable_backend_is_usage_error(workspace, tmp_path, capsys
     assert capsys.readouterr().err == NUMBA_MISSING
 
 
+@pytest.mark.parametrize("command", ["identify", "pipeline"])
+def test_unknown_backend_fails_before_the_models_load(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("ULI_BACKEND", "fast")
+    argv = [command, "--models", str(tmp_path / "missing")]
+    if command == "pipeline":
+        argv += ["--pages", str(tmp_path), "--out", str(tmp_path / "sentences.tsv")]
+    assert main(argv) == 1
+    assert "unknown backend 'fast'" in capsys.readouterr().err
+
+
+BAD_UTF8 = b"abba\n\xff dede\n"
+
+
+def test_identify_input_invalid_utf8_is_data_error(workspace, tmp_path, capsys):
+    src = tmp_path / "input.txt"
+    src.write_bytes(BAD_UTF8)
+    assert main(["identify", "--models", str(workspace["models"]), "--input", str(src)]) == 2
+    assert capsys.readouterr().err == f"uralid: {src}:2: invalid UTF-8 at byte offset 5\n"
+
+
+def test_identify_stdin_invalid_utf8_is_data_error(workspace, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(BAD_UTF8), encoding="utf-8"))
+    assert main(["identify", "--models", str(workspace["models"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "uralid: <stdin>:2: invalid UTF-8 at byte offset 5\n"
+    assert captured.out == ""
+
+
+def test_identify_stdin_bytes_give_the_text_stream_output(workspace, capsys, monkeypatch):
+    outputs = []
+    for stdin in (io.StringIO("abba dede\r\nfigi\n"),
+                  io.TextIOWrapper(io.BytesIO(b"abba dede\r\nfigi\n"), encoding="utf-8")):
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["identify", "--models", str(workspace["models"])]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert [row.split("\t")[:2] for row in outputs[0].splitlines()] == [["0", "fkv"], ["1", "izh"]]
+
+
+@pytest.mark.parametrize("bad", ["gold", "pred"])
+def test_evaluate_invalid_utf8_is_data_error(workspace, tmp_path, capsys, bad):
+    files = {name: tmp_path / f"{name}.tsv" for name in ("gold", "pred")}
+    for name, path in files.items():
+        path.write_bytes(b"fkv\n\xfffkv\n" if name == bad else b"fkv\nfkv\n")
+    argv = ["evaluate", "--gold", str(files["gold"]), "--pred", str(files["pred"]),
+            "--registry", str(workspace["registry"])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"uralid: {files[bad]}:2: invalid UTF-8 at byte offset 4\n"
+
+
+@pytest.mark.parametrize("form", ["directory", "tsv"])
+def test_pipeline_pages_invalid_utf8_is_data_error(workspace, tmp_path, capsys, form):
+    if form == "directory":
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        bad = pages / "one.txt"
+        bad.write_bytes(BAD_UTF8)
+        where = f"{bad}:2: invalid UTF-8 at byte offset 5"
+    else:
+        pages = bad = tmp_path / "pages.tsv"
+        bad.write_bytes(b"one\tYWJiYQ==\n\xfftwo\tYWJiYQ==\n")
+        where = f"{bad}:2: invalid UTF-8 at byte offset 13"
+    argv = ["pipeline", "--pages", str(pages), "--models", str(workspace["models"]),
+            "--out", str(tmp_path / "sentences.tsv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"uralid: {where}\n"
+
+
 def test_evaluate_prints_tracks_in_order(workspace, capsys, tmp_path):
     gold = tmp_path / "gold.tsv"
     pred = tmp_path / "pred.tsv"

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     ALPHABETS,
@@ -152,6 +154,42 @@ def test_cjk_ratio_matches_bruteforce():
         assert cjk_ratio(text, BLOCKS) == pytest.approx(
             oracle_cjk_ratio(text, list(BLOCKS)), abs=1e-12
         )
+
+
+WHITESPACE = [chr(cp) for cp in range(0x3001) if chr(cp).isspace()]
+
+
+@st.composite
+def cjk_cases(draw):
+    """Random text and a block list: the default one or a custom one, empty included."""
+    custom = st.lists(
+        st.tuples(st.integers(0, 0x10FFFF), st.integers(0, 0x10FFFF)).map(lambda b: tuple(sorted(b))),
+        max_size=4,
+    )
+    blocks = tuple(draw(st.one_of(st.just(BLOCKS), custom)))
+    edges = [
+        chr(cp)
+        for lo, hi in blocks
+        for cp in (lo - 1, lo, hi, hi + 1)
+        if 0 <= cp <= 0x10FFFF
+    ]
+    pieces = [st.characters(exclude_categories=()), st.sampled_from(WHITESPACE)]
+    if edges:
+        pieces.append(st.sampled_from(edges))
+    text = draw(st.text(alphabet=st.one_of(*pieces), max_size=40))
+    return text, blocks
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=cjk_cases())
+def test_cjk_ratio_equals_oracle_exactly(case):
+    text, blocks = case
+    assert cjk_ratio(text, blocks) == oracle_cjk_ratio(text, list(blocks))
+
+
+def test_cjk_ratio_counts_every_whitespace_code_point_as_whitespace():
+    text = "日" + "".join(WHITESPACE) + "a"
+    assert cjk_ratio(text) == oracle_cjk_ratio(text, list(BLOCKS)) == 0.5
 
 
 def test_sanity_penalizes_non_cjk_only():
