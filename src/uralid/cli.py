@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. Every flag can be
 overridden by an ``ULI_``-prefixed environment variable named after its
-destination (``ULI_N_MAX``, ``ULI_THREADS``, ``ULI_BACKEND``, ...); the
-environment wins over the command line. ``ULI_BACKEND`` also picks the
-scoring kernel of ``pipeline``, which has no ``--backend`` flag.
+destination (``ULI_N_MAX``, ``ULI_THREADS``, ``ULI_MIN_SHARE``, ...); the
+environment wins over the command line.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .backend import BACKENDS, BackendUnavailable, resolve_backend
 from .corpus import load_corpus, sniff_format
 from .errors import DataError, decode_utf8, read_utf8
 from .evaluation import compute_track_scores, confusion, format_track_scores, load_labels, report
@@ -77,7 +75,6 @@ _ENV_CONVERTERS = {
     "use_words": _bool,
     "threads": _threads,
     "min_share": float,
-    "backend": str,
     "registry": str,
     "models": str,
 }
@@ -134,8 +131,6 @@ def build_parser() -> _Parser:
                           help="worker threads, or 'auto' (default 1)")
     identify.add_argument("--scores", action="store_true",
                           help="append the full per-candidate score vector")
-    identify.add_argument("--backend", choices=BACKENDS + ("auto",), default="auto",
-                          help="scoring kernel (default auto)")
     identify.set_defaults(func=cmd_identify)
 
     evaluate = sub.add_parser("evaluate", help="score predictions against gold labels")
@@ -192,9 +187,8 @@ def _read_stdin() -> str:
 
 
 def cmd_identify(args) -> int:
-    backend = resolve_backend(args.backend)  # a bad ULI_BACKEND fails before the load
     model_set = load_models(args.models)
-    model_set.scorer(backend)
+    model_set.scorer()  # built before the clock starts
     sentences = (read_utf8(args.input) if args.input else _read_stdin()).splitlines()
     candidates = args.candidates.split(",") if args.candidates else None
 
@@ -230,9 +224,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    backend = resolve_backend(None)  # ULI_BACKEND, checked before the load
     model_set = load_models(args.models)
-    model_set.scorer(backend)
     pages = load_pages(args.pages)
     sentences, funnel = run_pipeline(
         pages, model_set, PipelineConfig(min_share=args.min_share)
@@ -260,7 +252,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, BackendUnavailable) as exc:
+    except ValueError as exc:
         print(f"uralid: error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

@@ -32,7 +32,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .backend import get_kernel
+from .backend import kernel
 from .features import WORD_DOMAIN, extract_ngrams, pad_word, tokenize
 from .models import ModelSet
 from .registry import DEFAULT_CJK_BLOCKS, LanguageRegistry
@@ -109,12 +109,11 @@ class Scorer:
     across threads. Word scores are memoized per candidate set.
     """
 
-    def __init__(self, model_set: ModelSet, backend: str | None = None):
+    def __init__(self, model_set: ModelSet):
         self.model_set = model_set
         self.params = model_set.params
         self.registry = model_set.registry
         self.penalty = float(self.params.penalty_p)
-        self._kernel = get_kernel(backend)
         self._vocabs: dict[str, dict[str, int]] = {}
         self._matrices: dict[str, np.ndarray] = {}
         self._cache: dict[tuple[str, bytes], tuple[np.ndarray, str | None]] = {}
@@ -137,16 +136,6 @@ class Scorer:
         self._backoff = ([WORD_DOMAIN] if self.params.use_words else []) + [
             str(n) for n in range(self.params.n_max, 0, -1)
         ]
-
-        # compile / warm the kernel before any threaded use
-        self._kernel(
-            np.array([0, -1], dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.full(1, 2, dtype=np.int64),
-            np.full((1, 1), -1.0, dtype=np.float64),
-            np.zeros(1, dtype=np.int64),
-            self.penalty,
-        )
 
     def candidate_rows(self, candidates=None) -> tuple[np.ndarray, list[str]]:
         """Validate candidates and map them to registry-ordered matrix rows.
@@ -182,7 +171,7 @@ class Scorer:
             if not batch:
                 continue
             count_array = np.array(counts, dtype=np.int64)
-            scores, usable = self._kernel(
+            scores, usable = kernel(
                 np.array(ids, dtype=np.int64),
                 count_array.cumsum() - count_array,
                 count_array,

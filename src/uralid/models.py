@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .features import WORD_DOMAIN, all_domains, extract_ngrams, ngram_domains, pad_word, tokenize
 from .registry import LanguageEntry, LanguageRegistry, parse_registry
 
@@ -88,15 +88,12 @@ class ModelSet:
         for code in self.models:
             self.registry.index(code)
 
-    def scorer(self, backend: str | None = None):
-        """Cached array-form scorer for this model set.
-
-        The backend choice sticks on first use; later calls reuse it.
-        """
+    def scorer(self):
+        """Cached array-form scorer for this model set, built on first use."""
         if not self._scorer:
             from .identifier import Scorer
 
-            self._scorer.append(Scorer(self, backend=backend))
+            self._scorer.append(Scorer(self))
         return self._scorer[0]
 
 
@@ -195,11 +192,16 @@ def save_models(model_set: ModelSet, directory) -> None:
     )
 
 
+def _read_text(path: Path) -> str:
+    """``read_utf8`` plus the universal-newline translation of ``Path.read_text``."""
+    return read_utf8(path).replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _parse_manifest(path: Path):
     params_fields: dict[str, str] = {}
     registry_lines: list[str] = []
     model_rows: list[tuple[str, str, str, int]] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t")
@@ -237,7 +239,7 @@ def _parse_manifest(path: Path):
 def _load_model_file(path: Path, max_score: float) -> dict[str, float]:
     scores: dict[str, float] = {}
     previous: str | None = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         if raw == "":
             continue
         parts = raw.split("\t")

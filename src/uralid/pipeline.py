@@ -7,7 +7,8 @@ The five stages:
 2. split pages into lines and deduplicate; a line seen on pages with
    different languages keeps the union as its known languages
 3. re-identify each line restricted to its known languages plus all
-   non-relevant ones; keep lines where a relevant language still wins
+   non-relevant ones; keep lines where a relevant language still wins,
+   labeled with that language
 4. split lines into sentences, then deduplicate sentences the same way
 5. label each sentence with the language that wins an absolute majority
    of its words under the same restriction; drop the rest
@@ -128,16 +129,21 @@ def stage2_dedup_lines(pages) -> list[LabeledLine]:
 
 
 def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
-    """Re-identify lines under restriction; keep relevant ones, narrow labels."""
+    """Re-identify lines under restriction; keep those a relevant language wins.
+
+    Each line is a single non-blank line, as stage 2 gives them, so the
+    winner becomes its one known language.
+    """
     registry = model_set.registry
+    scorer = model_set.scorer()
     non_relevant = registry.non_relevant_codes()
     kept = []
     for line in lines:
         candidates = registry.sort_by_order(set(line.known_languages) | set(non_relevant))
-        result = identify_set(line.text, model_set, candidates=candidates)
-        winners = frozenset(c for c in result.shares if registry.is_relevant(c))
-        if winners:
-            kept.append(LabeledLine(text=line.text, known_languages=winners))
+        rows, codes = scorer.candidate_rows(candidates)
+        winner = scorer.predict(line.text, rows, codes).winner
+        if registry.is_relevant(winner):
+            kept.append(LabeledLine(text=line.text, known_languages=frozenset({winner})))
     return kept
 
 

@@ -3,9 +3,7 @@
 Each check records exactly one ``criterion N: PASS/FAIL`` line; a conftest
 hook prints them as a summary section at the end of the run, where pytest's
 output capture cannot swallow them. Runtime limits are part of the contract
-and are asserted, not just measured. Kernels are warmed once up front so the
-limits measure steady-state work, not JIT compilation; only the backends
-available on the machine are warmed, so the gate runs with or without numba.
+and are asserted, not just measured.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from helpers import (
     to_oracle_models,
 )
 from oracle import oracle_cjk_ratio, oracle_score_sentence, oracle_winner
-from uralid.backend import available_backends, warmup
 from uralid.cli import main
 from uralid.corpus import Corpus
 from uralid.evaluation import confusion, prf, track2
@@ -61,12 +58,6 @@ def criterion(number: int, label: str, limit: float):
     acceptance_report.record(
         f"criterion {number:2d}: PASS  {label} ({elapsed:.2f}s, limit {limit:.0f}s)"
     )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    for name in available_backends():
-        warmup(name)
 
 
 @pytest.fixture(scope="module")

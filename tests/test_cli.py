@@ -1,10 +1,10 @@
 import argparse
 import io
+import shutil
 
 import pytest
 
 from helpers import ALPHABETS, disjoint_sentences, make_registry
-from uralid import backend as backend_mod
 from uralid.cli import UsageError, apply_env_overrides, main
 from uralid.models import load_models
 from uralid.registry import save_registry
@@ -116,53 +116,6 @@ def test_identify_threads_do_not_change_output(workspace, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_identify_backend_flag(workspace, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("abba\n"))
-    code = main(["identify", "--models", str(workspace["models"]), "--backend", "numpy"])
-    assert code == 0
-    assert capsys.readouterr().out.split("\t")[1] == "fkv"
-
-
-NUMBA_MISSING = "uralid: error: numba backend requested but numba is not importable\n"
-
-
-@pytest.mark.parametrize("via", ["flag", "env"])
-def test_identify_unavailable_backend_is_usage_error(workspace, capsys, monkeypatch, via):
-    monkeypatch.setattr(backend_mod, "HAS_NUMBA", False)
-    monkeypatch.setattr("sys.stdin", io.StringIO("abba\n"))
-    argv = ["identify", "--models", str(workspace["models"])]
-    if via == "flag":
-        argv += ["--backend", "numba"]
-    else:
-        monkeypatch.setenv("ULI_BACKEND", "numba")
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err == NUMBA_MISSING
-    assert captured.out == ""
-
-
-def test_pipeline_unavailable_backend_is_usage_error(workspace, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(backend_mod, "HAS_NUMBA", False)
-    monkeypatch.setenv("ULI_BACKEND", "numba")
-    pages = tmp_path / "pages"
-    pages.mkdir()
-    (pages / "one.txt").write_text("abba dede", encoding="utf-8")
-    argv = ["pipeline", "--pages", str(pages), "--models", str(workspace["models"]),
-            "--out", str(tmp_path / "sentences.tsv")]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == NUMBA_MISSING
-
-
-@pytest.mark.parametrize("command", ["identify", "pipeline"])
-def test_unknown_backend_fails_before_the_models_load(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("ULI_BACKEND", "fast")
-    argv = [command, "--models", str(tmp_path / "missing")]
-    if command == "pipeline":
-        argv += ["--pages", str(tmp_path), "--out", str(tmp_path / "sentences.tsv")]
-    assert main(argv) == 1
-    assert "unknown backend 'fast'" in capsys.readouterr().err
-
-
 BAD_UTF8 = b"abba\n\xff dede\n"
 
 
@@ -201,6 +154,23 @@ def test_evaluate_invalid_utf8_is_data_error(workspace, tmp_path, capsys, bad):
             "--registry", str(workspace["registry"])]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"uralid: {files[bad]}:2: invalid UTF-8 at byte offset 4\n"
+
+
+@pytest.mark.parametrize(
+    "bad", ["manifest.tsv", "models/fkv.1.tsv"], ids=["manifest", "model-file"]
+)
+def test_model_files_invalid_utf8_is_data_error(workspace, tmp_path, capsys, monkeypatch, bad):
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    target = models / bad
+    data = target.read_bytes()
+    target.write_bytes(data + b"\xff\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("abba\n"))
+    assert main(["identify", "--models", str(models)]) == 2
+    line = data.count(b"\n") + 1
+    assert capsys.readouterr().err == (
+        f"uralid: {target}:{line}: invalid UTF-8 at byte offset {len(data)}\n"
+    )
 
 
 @pytest.mark.parametrize("form", ["directory", "tsv"])
@@ -361,11 +331,11 @@ def test_bad_env_value_is_usage_error(workspace, monkeypatch, capsys):
 
 
 def test_apply_env_overrides_only_touches_known_destinations(monkeypatch):
-    monkeypatch.setenv("ULI_BACKEND", "numpy")
+    monkeypatch.setenv("ULI_MIN_SHARE", "0.5")
     monkeypatch.setenv("ULI_THREADS", "auto")
-    args = argparse.Namespace(backend="numba", threads=1, unrelated="x")
+    args = argparse.Namespace(min_share=0.02, threads=1, unrelated="x")
     apply_env_overrides(args)
-    assert args.backend == "numpy"
+    assert args.min_share == 0.5
     assert args.threads >= 1
     assert args.unrelated == "x"
 

@@ -154,6 +154,15 @@ def test_save_load_round_trip(tmp_path):
         assert loaded.models[code].totals == ms.models[code].totals
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_copy_with_other_line_ends_loads_equal(tmp_path, newline):
+    ms = random_model_set(random.Random(4))
+    save_models(ms, tmp_path / "m")
+    for path in (tmp_path / "m").rglob("*.tsv"):
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    assert load_models(tmp_path / "m") == ms
+
+
 def test_missing_manifest_raises(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         load_models(tmp_path)
