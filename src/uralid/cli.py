@@ -1,9 +1,6 @@
 """Command line entry point: train, identify, evaluate and pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Every flag can be
-overridden by an ``ULI_``-prefixed environment variable named after its
-destination (``ULI_N_MAX``, ``ULI_THREADS``, ``ULI_MIN_SHARE``, ...); the
-environment wins over the command line.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import load_corpus, sniff_format
-from .errors import DataError, decode_utf8, read_utf8
+from .errors import DataError, decode_utf8, read_utf8, split_records
 from .evaluation import compute_track_scores, confusion, format_track_scores, load_labels, report
 from .identifier import format_prediction, identify_batch, main_throughput_note
 from .models import HeliParams, load_models, save_models, train_models
@@ -56,41 +53,6 @@ def _threads(value: str) -> int:
     if value == "auto":
         return os.cpu_count() or 1
     return _positive_int(value)
-
-
-def _bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in {"1", "true", "yes", "on"}:
-        return True
-    if lowered in {"0", "false", "no", "off"}:
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-# flag destination -> converter for the matching ULI_<DEST> variable
-_ENV_CONVERTERS = {
-    "n_max": _positive_int,
-    "cutoff": float,
-    "penalty": float,
-    "use_words": _bool,
-    "threads": _threads,
-    "min_share": float,
-    "registry": str,
-    "models": str,
-}
-
-
-def apply_env_overrides(args: argparse.Namespace, environ=os.environ) -> None:
-    for dest, convert in _ENV_CONVERTERS.items():
-        if not hasattr(args, dest):
-            continue
-        raw = environ.get("ULI_" + dest.upper())
-        if raw is None:
-            continue
-        try:
-            setattr(args, dest, convert(raw))
-        except ValueError as exc:
-            raise UsageError(f"ULI_{dest.upper()}: {exc}") from None
 
 
 def _load_registry(args):
@@ -188,9 +150,14 @@ def _read_stdin() -> str:
 
 def cmd_identify(args) -> int:
     model_set = load_models(args.models)
-    model_set.scorer()  # built before the clock starts
-    sentences = (read_utf8(args.input) if args.input else _read_stdin()).splitlines()
     candidates = args.candidates.split(",") if args.candidates else None
+    unscorable = [code for code in candidates or () if code not in model_set.models]
+    if unscorable:
+        raise UsageError(
+            f"uralid: error: --candidates: no model for {', '.join(map(repr, unscorable))}"
+        )
+    model_set.scorer()  # built before the clock starts
+    sentences = split_records(read_utf8(args.input) if args.input else _read_stdin())
 
     started = time.perf_counter()
     predictions = identify_batch(
@@ -240,7 +207,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        apply_env_overrides(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -7,7 +7,8 @@ Two file formats are supported:
   the leading number is stripped.
 
 Blank lines are dropped in both formats (an empty sentence carries no
-features). Files must be UTF-8; both LF and CRLF line endings are accepted.
+features). Files must be UTF-8; records end at LF, CRLF or CR
+(``errors.split_records``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, read_utf8
+from .errors import DataError, read_utf8, split_records
 
 FORMATS = ("plain", "indexed")
 
@@ -49,11 +50,8 @@ def load_corpus(path, language: str, format: str = "plain") -> Corpus:
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     path = Path(path)
-    text = read_utf8(path)
-
     sentences: list[str] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(split_records(read_utf8(path)), start=1):
         if not line.strip():
             continue
         if format == "indexed":

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_utf8
+from .errors import DataError, read_utf8, split_records
 from .registry import LanguageRegistry
 
 
@@ -83,20 +83,18 @@ def prf(cm: ConfusionMatrix, lang: str) -> tuple[float, float, float]:
     return float(precision), float(recall), float(f1)
 
 
-def track1(cm: ConfusionMatrix, registry: LanguageRegistry | None = None) -> float:
+def track1(cm: ConfusionMatrix) -> float:
     """Macro-F1 over the relevant languages."""
-    registry = registry or cm.registry
-    relevant = registry.relevant_codes()
+    relevant = cm.registry.relevant_codes()
     if not relevant:
         raise ValueError("registry has no relevant languages")
     total = sum((_prf_fractions(cm, code)[2] for code in relevant), Fraction(0))
     return float(total / len(relevant))
 
 
-def track2(cm: ConfusionMatrix, registry: LanguageRegistry | None = None) -> float:
+def track2(cm: ConfusionMatrix) -> float:
     """Micro-F1 over sentences in, or predicted to be in, relevant languages."""
-    registry = registry or cm.registry
-    rel = np.array([e.relevant for e in registry.entries], dtype=bool)
+    rel = np.array([e.relevant for e in cm.registry.entries], dtype=bool)
     diag = np.diagonal(cm.counts)
     tp = int(diag[rel].sum())
     fp = int(cm.counts[:, rel].sum()) - tp
@@ -106,10 +104,9 @@ def track2(cm: ConfusionMatrix, registry: LanguageRegistry | None = None) -> flo
     return float(_f1(precision, recall))
 
 
-def track3(cm: ConfusionMatrix, registry: LanguageRegistry | None = None) -> float:
+def track3(cm: ConfusionMatrix) -> float:
     """Macro-F1 over every registered language."""
-    registry = registry or cm.registry
-    codes = registry.codes()
+    codes = cm.registry.codes()
     if not codes:
         raise ValueError("empty registry")
     total = sum((_prf_fractions(cm, code)[2] for code in codes), Fraction(0))
@@ -138,7 +135,7 @@ def write_confusion(cm: ConfusionMatrix, path) -> None:
 
 def read_confusion(path, registry: LanguageRegistry) -> ConfusionMatrix:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = split_records(read_utf8(path))
     if not lines:
         raise DataError(f"{path}: empty confusion file")
     header = lines[0].split("\t")[1:]
@@ -183,8 +180,7 @@ def load_labels(path, registry: LanguageRegistry) -> list[str]:
     """Read a label file: either ``sentence<TAB>code`` rows or bare codes."""
     path = Path(path)
     labels: list[str] = []
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(split_records(read_utf8(path)), start=1):
         if not line.strip():
             continue
         code = line.rsplit("\t", 1)[1] if "\t" in line else line.strip()

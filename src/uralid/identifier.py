@@ -82,10 +82,7 @@ def cjk_ratio(text: str, blocks=DEFAULT_CJK_BLOCKS) -> float:
 
 
 def apply_cjk_sanity(
-    scores: dict[str, float],
-    sentence: str,
-    registry: LanguageRegistry,
-    high_penalty: float = CJK_HIGH_PENALTY,
+    scores: dict[str, float], sentence: str, registry: LanguageRegistry
 ) -> dict[str, float]:
     """Push non-CJK candidates out when the text is majority-CJK.
 
@@ -95,7 +92,7 @@ def apply_cjk_sanity(
     if cjk_ratio(sentence, registry.cjk_blocks) <= 0.5:
         return dict(scores)
     return {
-        code: score if registry.is_cjk(code) else score + high_penalty
+        code: score if registry.is_cjk(code) else score + CJK_HIGH_PENALTY
         for code, score in scores.items()
     }
 
@@ -290,6 +287,11 @@ def identify(sentence: str, model_set: ModelSet, candidates=None) -> Prediction:
     return scorer.predict(sentence, rows, codes)
 
 
+def restricted_candidates(registry: LanguageRegistry, allowed_relevant) -> list[str]:
+    """The allowed relevant languages plus every non-relevant one, in registry order."""
+    return registry.sort_by_order(set(allowed_relevant) | set(registry.non_relevant_codes()))
+
+
 def identify_restricted(
     sentence: str, model_set: ModelSet, allowed_relevant
 ) -> Prediction:
@@ -299,7 +301,7 @@ def identify_restricted(
     for code in allowed:
         if not registry.is_relevant(code):
             raise ValueError(f"{code!r} is not a relevant language")
-    candidates = list(allowed) + registry.non_relevant_codes()
+    candidates = restricted_candidates(registry, allowed)
     if not candidates:
         raise ValueError("empty candidate union")
     return identify(sentence, model_set, candidates)
@@ -333,12 +335,7 @@ def identify_batch(
         return list(chain.from_iterable(pool.map(run_chunk, chunks)))
 
 
-def identify_set(
-    text: str,
-    model_set: ModelSet,
-    min_share: float = 0.02,
-    candidates=None,
-) -> SetIdentification:
+def identify_set(text: str, model_set: ModelSet, min_share: float = 0.02) -> SetIdentification:
     """Estimate language shares of a multi-line text.
 
     Each non-blank line is identified on its own (the new words of each
@@ -355,7 +352,7 @@ def identify_set(
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         return SetIdentification(shares={}, dominant=None)
-    rows, codes = scorer.candidate_rows(candidates)
+    rows, codes = scorer.candidate_rows()
     chars_won: dict[str, int] = {}
     total = 0
     predictions = chain.from_iterable(
@@ -388,11 +385,10 @@ def format_prediction(index: int, prediction: Prediction, with_scores: bool) -> 
     return "\t".join(fields)
 
 
-def main_throughput_note(count: int, seconds: float, stream=None) -> None:
-    """Emit the sentences/second measurement (scale awareness, not a gate)."""
-    stream = stream if stream is not None else sys.stderr
+def main_throughput_note(count: int, seconds: float) -> None:
+    """Emit the sentences/second measurement on stderr (scale awareness, not a gate)."""
     rate = count / seconds if seconds > 0 else float("inf")
     print(
         f"identified {count} sentences in {seconds:.3f}s ({rate:.0f} sentences/s)",
-        file=stream,
+        file=sys.stderr,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import DataError, read_utf8
+from .errors import DataError, read_utf8, split_records
 from .features import WORD_DOMAIN, all_domains, extract_ngrams, ngram_domains, pad_word, tokenize
 from .registry import LanguageEntry, LanguageRegistry, parse_registry
 
@@ -192,16 +192,11 @@ def save_models(model_set: ModelSet, directory) -> None:
     )
 
 
-def _read_text(path: Path) -> str:
-    """``read_utf8`` plus the universal-newline translation of ``Path.read_text``."""
-    return read_utf8(path).replace("\r\n", "\n").replace("\r", "\n")
-
-
 def _parse_manifest(path: Path):
     params_fields: dict[str, str] = {}
     registry_lines: list[str] = []
     model_rows: list[tuple[str, str, str, int]] = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(split_records(read_utf8(path)), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t")
@@ -239,7 +234,7 @@ def _parse_manifest(path: Path):
 def _load_model_file(path: Path, max_score: float) -> dict[str, float]:
     scores: dict[str, float] = {}
     previous: str | None = None
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, raw in enumerate(split_records(read_utf8(path)), start=1):
         if raw == "":
             continue
         parts = raw.split("\t")

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import DataError, read_utf8
-from .identifier import identify_set
+from .errors import DataError, read_utf8, split_records
+from .identifier import identify_set, restricted_candidates
 from .models import ModelSet
 
 DEFAULT_MIN_SHARE = 0.02
@@ -136,11 +136,9 @@ def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
     """
     registry = model_set.registry
     scorer = model_set.scorer()
-    non_relevant = registry.non_relevant_codes()
     kept = []
     for line in lines:
-        candidates = registry.sort_by_order(set(line.known_languages) | set(non_relevant))
-        rows, codes = scorer.candidate_rows(candidates)
+        rows, codes = scorer.candidate_rows(restricted_candidates(registry, line.known_languages))
         winner = scorer.predict(line.text, rows, codes).winner
         if registry.is_relevant(winner):
             kept.append(LabeledLine(text=line.text, known_languages=frozenset({winner})))
@@ -188,13 +186,11 @@ def stage5_label_sentences(sentences, model_set: ModelSet) -> list[LabeledSenten
     """Label sentences whose words give an absolute majority to one relevant language."""
     registry = model_set.registry
     scorer = model_set.scorer()
-    non_relevant = registry.non_relevant_codes()
     labeled = []
     for sentence in sentences:
-        candidates = registry.sort_by_order(
-            set(sentence.known_languages) | set(non_relevant)
+        rows, codes = scorer.candidate_rows(
+            restricted_candidates(registry, sentence.known_languages)
         )
-        rows, codes = scorer.candidate_rows(candidates)
         winners = scorer.word_winners(sentence.text, rows, codes)
         majority = None
         for code, count in Counter(winners).items():
@@ -251,7 +247,7 @@ def load_pages(path) -> list[Page]:
         for file in sorted(path.glob("*.txt")):
             pages.append(Page(url=file.stem, text=read_utf8(file)))
         return pages
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
+    for lineno, raw in enumerate(split_records(read_utf8(path)), start=1):
         if not raw.strip():
             continue
         fields = raw.split("\t")

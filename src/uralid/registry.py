@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_utf8, split_records
 
 _CODE_RE = re.compile(r"^[a-z]{3}$")
 
@@ -126,8 +126,7 @@ def parse_registry(text: str, source="<string>") -> LanguageRegistry:
     entries: list[LanguageEntry] = []
     seen: set[str] = set()
     blocks: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(split_records(text), start=1):
         if line.startswith("#!cjk-block"):
             blocks.append(_parse_cjk_block(line.split("\t"), lineno, source))
             continue
@@ -156,12 +155,7 @@ def parse_registry(text: str, source="<string>") -> LanguageRegistry:
 
 def load_registry(path) -> LanguageRegistry:
     """Load a registry TSV file. Fails loudly on malformed lines."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 ({exc})") from None
-    return parse_registry(text, source=path)
+    return parse_registry(read_utf8(path), source=path)
 
 
 def save_registry(registry: LanguageRegistry, path) -> None:

@@ -1,11 +1,10 @@
-import argparse
 import io
 import shutil
 
 import pytest
 
 from helpers import ALPHABETS, disjoint_sentences, make_registry
-from uralid.cli import UsageError, apply_env_overrides, main
+from uralid.cli import main
 from uralid.models import load_models
 from uralid.registry import save_registry
 
@@ -116,6 +115,28 @@ def test_identify_threads_do_not_change_output(workspace, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_identify_writes_one_row_per_record(workspace, tmp_path):
+    src = tmp_path / "input.txt"
+    src.write_text("abba\u2028dede\nfigi\x85gihi\rabba\x0cdede\r\n\nfigi", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    argv = ["identify", "--models", str(workspace["models"]), "--input", str(src), "--out", str(out)]
+    assert main(argv) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert [row.split("\t")[:2] for row in rows] == [
+        ["0", "fkv"], ["1", "izh"], ["2", "fkv"], ["3", "fkv"], ["4", "izh"]
+    ]
+
+
+@pytest.mark.parametrize("code", ["vep", "xyz"], ids=["unmodeled", "unregistered"])
+def test_identify_unscorable_candidate_is_usage_error(workspace, tmp_path, capsys, code):
+    argv = ["identify", "--models", str(workspace["models"]), "--candidates", f"fkv,{code}",
+            "--input", str(tmp_path / "never-read.txt")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"uralid: error: --candidates: no model for '{code}'\n"
+    assert captured.out == ""
+
+
 BAD_UTF8 = b"abba\n\xff dede\n"
 
 
@@ -216,6 +237,17 @@ def test_evaluate_prints_tracks_in_order(workspace, capsys, tmp_path):
     assert (tmp_path / "report" / "confusion.tsv").is_file()
 
 
+def test_evaluate_gold_sentence_may_contain_a_line_separator(workspace, tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    pred = tmp_path / "pred.tsv"
+    gold.write_text("kala\u2028talo\tfkv\nfigi\tizh\n", encoding="utf-8")
+    pred.write_text("fkv\nizh\n", encoding="utf-8")
+    argv = ["evaluate", "--gold", str(gold), "--pred", str(pred),
+            "--registry", str(workspace["registry"])]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("track1_relevant_macro_f1\t1.000000\n")
+
+
 def test_evaluate_length_mismatch_is_data_error(workspace, tmp_path, capsys):
     gold = tmp_path / "gold.tsv"
     pred = tmp_path / "pred.tsv"
@@ -251,7 +283,7 @@ def test_pipeline_end_to_end(workspace, tmp_path, capsys):
     assert report.read_text(encoding="utf-8").startswith("pages_in\t2\n")
 
 
-# --- exit codes and env handling ----------------------------------------------
+# --- exit codes ------------------------------------------------------------
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -288,6 +320,15 @@ def test_bad_registry_is_data_error(workspace, tmp_path, capsys):
     assert code == 2
 
 
+def test_registry_invalid_utf8_is_data_error(workspace, tmp_path, capsys):
+    bad = tmp_path / "registry.tsv"
+    bad.write_bytes(b"fkv\tFKV\t1\n\xffizh\tIZH\t1\n")
+    argv = ["train", "--registry", str(bad), "--corpora", str(workspace["corpora"]),
+            "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"uralid: {bad}:2: invalid UTF-8 at byte offset 10\n"
+
+
 def test_empty_corpora_dir_is_data_error(workspace, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -307,41 +348,10 @@ def test_unregistered_corpus_filename_is_data_error(workspace, tmp_path, capsys)
     assert code == 2
 
 
-def test_env_overrides_flag(workspace, tmp_path, monkeypatch, capsys):
+def test_environment_does_not_override_flags(workspace, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ULI_N_MAX", "2")
     out = tmp_path / "models"
-    code = main(
-        [
-            "train",
-            "--registry", str(workspace["registry"]),
-            "--corpora", str(workspace["corpora"]),
-            "--out", str(out),
-            "--n-max", "5",
-        ]
-    )
-    assert code == 0
-    assert load_models(out).params.n_max == 2
-
-
-def test_bad_env_value_is_usage_error(workspace, monkeypatch, capsys):
-    monkeypatch.setenv("ULI_THREADS", "many")
-    code = main(["identify", "--models", str(workspace["models"])])
-    assert code == 1
-    assert "ULI_THREADS" in capsys.readouterr().err
-
-
-def test_apply_env_overrides_only_touches_known_destinations(monkeypatch):
-    monkeypatch.setenv("ULI_MIN_SHARE", "0.5")
-    monkeypatch.setenv("ULI_THREADS", "auto")
-    args = argparse.Namespace(min_share=0.02, threads=1, unrelated="x")
-    apply_env_overrides(args)
-    assert args.min_share == 0.5
-    assert args.threads >= 1
-    assert args.unrelated == "x"
-
-
-def test_apply_env_overrides_reports_bad_booleans(monkeypatch):
-    monkeypatch.setenv("ULI_USE_WORDS", "maybe")
-    args = argparse.Namespace(use_words=True)
-    with pytest.raises(UsageError):
-        apply_env_overrides(args)
+    argv = ["train", "--registry", str(workspace["registry"]),
+            "--corpora", str(workspace["corpora"]), "--out", str(out), "--n-max", "5"]
+    assert main(argv) == 0
+    assert load_models(out).params.n_max == 5

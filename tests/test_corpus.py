@@ -27,6 +27,11 @@ def test_crlf_accepted(tmp_path):
     assert load_corpus(path, "vep").sentences == ("one", "two")
 
 
+def test_cr_only_line_ends_accepted(tmp_path):
+    path = write(tmp_path, "c.txt", b"one\rtwo\r")
+    assert load_corpus(path, "vep").sentences == ("one", "two")
+
+
 def test_indexed_format_strips_leading_index(tmp_path):
     path = write(tmp_path, "c.tsv", "1\tminä olen\n2\tsinä olet\n")
     assert load_corpus(path, "fin", format="indexed").sentences == ("minä olen", "sinä olet")
@@ -41,6 +46,12 @@ def test_indexed_line_without_tab_names_the_line(tmp_path):
 def test_invalid_utf8_reports_byte_offset(tmp_path):
     path = write(tmp_path, "c.txt", b"ok\n\xff\xfe\n")
     with pytest.raises(DataError, match="byte offset 3"):
+        load_corpus(path, "vep")
+
+
+def test_invalid_utf8_line_number_counts_cr_line_ends(tmp_path):
+    path = write(tmp_path, "c.txt", b"ok\rok\r\n\xff\n")
+    with pytest.raises(DataError, match=r"c\.txt:3: invalid UTF-8 at byte offset 7$"):
         load_corpus(path, "vep")
 
 

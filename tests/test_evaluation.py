@@ -188,6 +188,14 @@ def test_confusion_write_read_round_trip(tmp_path):
     assert np.array_equal(loaded.counts, cm.counts)
 
 
+def test_read_confusion_invalid_utf8_is_data_error(tmp_path):
+    path = tmp_path / "confusion.tsv"
+    write_confusion(cm_from_pairs([("fkv", "fkv")]), path)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    with pytest.raises(DataError, match=r":7: invalid UTF-8"):
+        read_confusion(path, make_registry())
+
+
 def test_confusion_file_blanks_zero_cells(tmp_path):
     cm = cm_from_pairs([("fkv", "fkv"), ("fkv", "izh")])
     path = tmp_path / "confusion.tsv"
@@ -229,6 +237,12 @@ def test_load_labels_sentence_may_contain_tabs(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("col1\tcol2\tfkv\n", encoding="utf-8")
     assert load_labels(path, make_registry()) == ["fkv"]
+
+
+def test_load_labels_sentence_may_contain_unicode_line_breaks(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_text("kala\u2028talo\tfkv\nkala\x85talo\x0cja\tizh\rvep\r\n", encoding="utf-8")
+    assert load_labels(path, make_registry()) == ["fkv", "izh", "vep"]
 
 
 def test_load_labels_rejects_unknown_code_with_line_number(tmp_path):
