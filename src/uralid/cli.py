@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import time
@@ -27,8 +26,6 @@ from .pipeline import (
     write_sentences,
 )
 from .registry import default_registry, load_registry
-
-log = logging.getLogger("uralid")
 
 
 class UsageError(Exception):
@@ -73,7 +70,6 @@ def _add_param_flags(parser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="uralid", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     train = sub.add_parser("train", help="train models from per-language corpora")
@@ -136,7 +132,6 @@ def cmd_train(args) -> int:
         raise DataError(f"{corpora_dir}: no .txt or .tsv corpus files found")
     model_set = train_models(corpora, params, registry)
     save_models(model_set, args.out)
-    log.info("trained %d languages into %s", len(model_set.models), args.out)
     print(f"trained {len(model_set.models)} language models -> {args.out}")
     return 0
 
@@ -150,7 +145,7 @@ def _read_stdin() -> str:
 
 def cmd_identify(args) -> int:
     model_set = load_models(args.models)
-    candidates = args.candidates.split(",") if args.candidates else None
+    candidates = args.candidates.split(",") if args.candidates is not None else None
     unscorable = [code for code in candidates or () if code not in model_set.models]
     if unscorable:
         raise UsageError(
@@ -212,7 +207,6 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -183,7 +183,7 @@ def load_labels(path, registry: LanguageRegistry) -> list[str]:
     for lineno, line in enumerate(split_records(read_utf8(path)), start=1):
         if not line.strip():
             continue
-        code = line.rsplit("\t", 1)[1] if "\t" in line else line.strip()
+        code = line.rsplit("\t", 1)[-1].strip()
         if code not in registry:
             raise DataError(f"{path}:{lineno}: unregistered language code {code!r}")
         labels.append(code)

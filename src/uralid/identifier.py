@@ -18,8 +18,10 @@ caller is about to need, skips those already in the word cache and walks
 the backoff order over the rest, one kernel call per feature domain for
 every word still unresolved there (see ``backend`` for the kernel
 contract). A word's scores do not depend on the batch it was scored in.
-``identify_batch`` and ``identify_set`` score the unique words of each
-chunk of sentences or lines this way before predicting each one, and
+``identify_batch`` is the one function that turns texts into predictions:
+it scores the unique words of each chunk of sentences this way before
+predicting each one, and ``identify``, ``identify_restricted``,
+``identify_set`` and pipeline stage 3 all go through it.
 ``Scorer.word_winners`` scores a sentence's words as one batch.
 """
 
@@ -233,17 +235,6 @@ class Scorer:
         acc /= len(words)
         return acc, tuple(trace)
 
-    def predict_chunk(
-        self, sentences: list[str], rows: np.ndarray, codes: list[str]
-    ) -> list[Prediction]:
-        """``predict`` for each sentence, after scoring their new words as one batch."""
-        tokens = [tokenize(sentence) for sentence in sentences]
-        self.score_words(list(chain.from_iterable(tokens)), rows)
-        return [
-            self.predict(sentence, rows, codes, words)
-            for sentence, words in zip(sentences, tokens)
-        ]
-
     def word_winners(self, sentence: str, rows: np.ndarray, codes: list[str]) -> list[str]:
         """Winning language per word (registry-order tie-break)."""
         return [
@@ -282,9 +273,7 @@ def score_word(
 
 def identify(sentence: str, model_set: ModelSet, candidates=None) -> Prediction:
     """Identify the language of one sentence among the candidates."""
-    scorer = model_set.scorer()
-    rows, codes = scorer.candidate_rows(candidates)
-    return scorer.predict(sentence, rows, codes)
+    return identify_batch([sentence], model_set, candidates)[0]
 
 
 def restricted_candidates(registry: LanguageRegistry, allowed_relevant) -> list[str]:
@@ -327,7 +316,12 @@ def identify_batch(
     chunks = [sentences[i : i + chunk_size] for i in range(0, len(sentences), chunk_size)]
 
     def run_chunk(chunk: list[str]) -> list[Prediction]:
-        return scorer.predict_chunk(chunk, rows, codes)
+        tokens = [tokenize(sentence) for sentence in chunk]
+        scorer.score_words(list(chain.from_iterable(tokens)), rows)
+        return [
+            scorer.predict(sentence, rows, codes, words)
+            for sentence, words in zip(chunk, tokens)
+        ]
 
     if threads <= 1 or len(chunks) <= 1:
         return list(chain.from_iterable(map(run_chunk, chunks)))
@@ -338,28 +332,22 @@ def identify_batch(
 def identify_set(text: str, model_set: ModelSet, min_share: float = 0.02) -> SetIdentification:
     """Estimate language shares of a multi-line text.
 
-    Each non-blank line is identified on its own (the new words of each
-    chunk of lines are scored as one batch); a language's share is the
-    fraction of characters in the lines it won. The dominant language is
-    the relevant one with the greatest share, provided that share reaches
+    Each non-blank line is identified on its own, by one ``identify_batch``
+    call over all the lines; a language's share is the fraction of
+    characters in the lines it won. The dominant language is the relevant
+    one with the greatest share, provided that share reaches
     ``min_share``; ties go to registry order. Only nonzero shares are
     reported.
     """
     if not 0.0 < min_share <= 1.0:
         raise ValueError(f"min_share must be in (0, 1], got {min_share}")
-    scorer = model_set.scorer()
     registry = model_set.registry
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         return SetIdentification(shares={}, dominant=None)
-    rows, codes = scorer.candidate_rows()
     chars_won: dict[str, int] = {}
     total = 0
-    predictions = chain.from_iterable(
-        scorer.predict_chunk(lines[i : i + _CHUNK_SIZE], rows, codes)
-        for i in range(0, len(lines), _CHUNK_SIZE)
-    )
-    for line, prediction in zip(lines, predictions):
+    for line, prediction in zip(lines, identify_batch(lines, model_set)):
         chars_won[prediction.winner] = chars_won.get(prediction.winner, 0) + len(line)
         total += len(line)
     shares = {

@@ -8,7 +8,8 @@ The five stages:
    different languages keeps the union as its known languages
 3. re-identify each line restricted to its known languages plus all
    non-relevant ones; keep lines where a relevant language still wins,
-   labeled with that language
+   labeled with that language. Lines that share known languages are
+   identified together, in one ``identify_batch`` call per set
 4. split lines into sentences, then deduplicate sentences the same way
 5. label each sentence with the language that wins an absolute majority
    of its words under the same restriction; drop the rest
@@ -23,15 +24,14 @@ import base64
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
 from .errors import DataError, read_utf8, split_records
-from .identifier import identify_set, restricted_candidates
+from .identifier import identify_batch, identify_set, restricted_candidates
 from .models import ModelSet
 
 DEFAULT_MIN_SHARE = 0.02
-SENTENCE_TERMINATORS = ".!?…"
+SENTENCE_TERMINATORS = re.compile(r"[.!?…]+(?=\s|$)")
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class PipelineReport:
 @dataclass(frozen=True)
 class PipelineConfig:
     min_share: float = DEFAULT_MIN_SHARE
-    sentence_terminators: str = SENTENCE_TERMINATORS
 
 
 def page_lines(page: Page) -> list[str]:
@@ -132,34 +131,36 @@ def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
     """Re-identify lines under restriction; keep those a relevant language wins.
 
     Each line is a single non-blank line, as stage 2 gives them, so the
-    winner becomes its one known language.
+    winner becomes its one known language. Lines with the same known
+    languages are identified as one batch; kept lines stay in input order.
     """
     registry = model_set.registry
-    scorer = model_set.scorer()
-    kept = []
-    for line in lines:
-        rows, codes = scorer.candidate_rows(restricted_candidates(registry, line.known_languages))
-        winner = scorer.predict(line.text, rows, codes).winner
-        if registry.is_relevant(winner):
-            kept.append(LabeledLine(text=line.text, known_languages=frozenset({winner})))
-    return kept
+    lines = list(lines)
+    groups: dict[frozenset[str], list[int]] = {}
+    for i, line in enumerate(lines):
+        groups.setdefault(line.known_languages, []).append(i)
+    winners: list[str] = [""] * len(lines)
+    for allowed, indices in groups.items():
+        candidates = restricted_candidates(registry, allowed)
+        predictions = identify_batch([lines[i].text for i in indices], model_set, candidates)
+        for i, prediction in zip(indices, predictions):
+            winners[i] = prediction.winner
+    return [
+        LabeledLine(text=line.text, known_languages=frozenset({winner}))
+        for line, winner in zip(lines, winners)
+        if registry.is_relevant(winner)
+    ]
 
 
-@lru_cache(maxsize=8)
-def _terminator_pattern(terminators: str) -> re.Pattern:
-    return re.compile(f"[{re.escape(terminators)}]+(?=\\s|$)")
-
-
-def split_sentences(text: str, terminators: str = SENTENCE_TERMINATORS) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split after runs of sentence-final punctuation; keep only lettered parts.
 
     The terminator run stays with the preceding sentence and must be followed
     by whitespace or end of text, so "3.14" never splits.
     """
-    pattern = _terminator_pattern(terminators)
     parts = []
     start = 0
-    for match in pattern.finditer(text):
+    for match in SENTENCE_TERMINATORS.finditer(text):
         parts.append(text[start : match.end()])
         start = match.end()
     if start < len(text):
@@ -172,13 +173,11 @@ def split_sentences(text: str, terminators: str = SENTENCE_TERMINATORS) -> list[
     return sentences
 
 
-def stage4_extract_sentences(
-    line: LabeledLine, terminators: str = SENTENCE_TERMINATORS
-) -> list[LabeledLine]:
+def stage4_extract_sentences(line: LabeledLine) -> list[LabeledLine]:
     """Sentence-sized pieces of the line, each inheriting its labels."""
     return [
         LabeledLine(text=sentence, known_languages=line.known_languages)
-        for sentence in split_sentences(line.text, terminators)
+        for sentence in split_sentences(line.text)
     ]
 
 
@@ -221,7 +220,7 @@ def run_pipeline(
 
     extracted: list[LabeledLine] = []
     for line in kept_lines:
-        extracted.extend(stage4_extract_sentences(line, config.sentence_terminators))
+        extracted.extend(stage4_extract_sentences(line))
     unique_sentences = _union_dedup(extracted)
 
     labeled = stage5_label_sentences(unique_sentences, model_set)

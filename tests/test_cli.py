@@ -127,9 +127,13 @@ def test_identify_writes_one_row_per_record(workspace, tmp_path):
     ]
 
 
-@pytest.mark.parametrize("code", ["vep", "xyz"], ids=["unmodeled", "unregistered"])
-def test_identify_unscorable_candidate_is_usage_error(workspace, tmp_path, capsys, code):
-    argv = ["identify", "--models", str(workspace["models"]), "--candidates", f"fkv,{code}",
+@pytest.mark.parametrize(
+    "candidates, code",
+    [("fkv,vep", "vep"), ("fkv,xyz", "xyz"), ("", ""), ("fkv,", "")],
+    ids=["unmodeled", "unregistered", "empty", "empty-field"],
+)
+def test_identify_unscorable_candidate_is_usage_error(workspace, tmp_path, capsys, candidates, code):
+    argv = ["identify", "--models", str(workspace["models"]), "--candidates", candidates,
             "--input", str(tmp_path / "never-read.txt")]
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -245,6 +245,12 @@ def test_load_labels_sentence_may_contain_unicode_line_breaks(tmp_path):
     assert load_labels(path, make_registry()) == ["fkv", "izh", "vep"]
 
 
+def test_load_labels_strips_the_code_in_both_forms(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_text("kala\tfkv \ntalo\t izh\n vep \n", encoding="utf-8")
+    assert load_labels(path, make_registry()) == ["fkv", "izh", "vep"]
+
+
 def test_load_labels_rejects_unknown_code_with_line_number(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("fkv\nxxz\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import ALPHABETS, disjoint_model_set, disjoint_sentences, make_registry
 from uralid.errors import DataError
+from uralid.identifier import identify_restricted
 from uralid.pipeline import (
     LabeledLine,
     LabeledSentence,
@@ -150,6 +151,27 @@ def test_stage3_restriction_excludes_other_relevant(models):
         assert "izh" not in line.known_languages
 
 
+def test_stage3_equals_per_line_restricted_identification(models):
+    # every language's lines, plus mixed ones, under repeated known-language sets, shuffled
+    known_sets = [
+        frozenset(s) for s in ({"fkv"}, {"izh"}, {"vep"}, {"fkv", "vep"}, {"fkv", "izh", "vep"})
+    ]
+    texts = [s for code in ALPHABETS for s in disjoint_sentences(code, 6, seed=1)]
+    texts += [
+        f"{a} {b}"
+        for a, b in zip(disjoint_sentences("fkv", 6, seed=2), disjoint_sentences("vep", 6, seed=2))
+    ]
+    lines = [LabeledLine(text, known_sets[i % len(known_sets)]) for i, text in enumerate(texts)]
+    random.Random(3).shuffle(lines)
+    expected = []
+    for line in lines:
+        winner = identify_restricted(line.text, models, line.known_languages).winner
+        if models.registry.is_relevant(winner):
+            expected.append(LabeledLine(line.text, frozenset({winner})))
+    assert {lang for line in expected for lang in line.known_languages} == {"fkv", "izh", "vep"}
+    assert stage3_filter_lines(lines, models) == expected
+
+
 # --- stage 4 ------------------------------------------------------------------
 
 
@@ -182,11 +204,6 @@ def test_stage4_inherits_labels():
     pieces = stage4_extract_sentences(line)
     assert [p.text for p in pieces] == ["Tere.", "Tsau!"]
     assert all(p.known_languages == line.known_languages for p in pieces)
-
-
-def test_stage4_custom_terminators():
-    line = LabeledLine("a| b", frozenset({"fkv"}))
-    assert [p.text for p in stage4_extract_sentences(line, terminators="|")] == ["a|", "b"]
 
 
 # --- stage 5 ------------------------------------------------------------------
