@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,12 +45,6 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _threads(value: str) -> int:
-    if value == "auto":
-        return os.cpu_count() or 1
-    return _positive_int(value)
-
-
 def _load_registry(args):
     return load_registry(args.registry) if args.registry else default_registry()
 
@@ -85,8 +78,6 @@ def build_parser() -> _Parser:
     identify.add_argument("--input", help="sentence-per-line file (default: stdin)")
     identify.add_argument("--out", help="output TSV (default: stdout)")
     identify.add_argument("--candidates", help="comma-separated candidate codes")
-    identify.add_argument("--threads", type=_threads, default=1,
-                          help="worker threads, or 'auto' (default 1)")
     identify.add_argument("--scores", action="store_true",
                           help="append the full per-candidate score vector")
     identify.set_defaults(func=cmd_identify)
@@ -155,9 +146,7 @@ def cmd_identify(args) -> int:
     sentences = split_records(read_utf8(args.input) if args.input else _read_stdin())
 
     started = time.perf_counter()
-    predictions = identify_batch(
-        sentences, model_set, candidates=candidates, threads=args.threads
-    )
+    predictions = identify_batch(sentences, model_set, candidates=candidates)
     elapsed = time.perf_counter() - started
 
     rows = [

@@ -28,7 +28,6 @@ predicting each one, and ``identify``, ``identify_restricted``,
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -47,7 +46,7 @@ CJK_HIGH_PENALTY = 1000.0
 _CACHE_LIMIT = 1 << 20
 
 # Sentences (or lines) whose new words are scored together: bounds the
-# memory one batch takes and is the unit of work handed to each thread.
+# memory one batch takes. Read at call time, so tests can change it.
 _CHUNK_SIZE = 256
 
 
@@ -104,12 +103,13 @@ class Scorer:
 
     Rows are registry positions; per domain, a feature vocabulary maps
     feature strings to matrix columns and absent features carry a negative
-    sentinel. The scorer is read-only after construction and safe to share
-    across threads. Word scores are memoized per candidate set.
+    sentinel. Word scores are memoized per candidate set. The scorer keeps
+    the modeled codes, not the ModelSet that caches it, so the two form no
+    reference cycle.
     """
 
     def __init__(self, model_set: ModelSet):
-        self.model_set = model_set
+        self._modeled = frozenset(model_set.models)
         self.params = model_set.params
         self.registry = model_set.registry
         self.penalty = float(self.params.penalty_p)
@@ -142,7 +142,7 @@ class Scorer:
         ``None`` selects every language that has a model.
         """
         if candidates is None:
-            codes = [c for c in self.registry.codes() if c in self.model_set.models]
+            codes = [c for c in self.registry.codes() if c in self._modeled]
         else:
             codes = self.registry.sort_by_order(candidates)
         if not codes:
@@ -297,36 +297,28 @@ def identify_restricted(
 
 
 def identify_batch(
-    sentences,
-    model_set: ModelSet,
-    candidates=None,
-    threads: int = 1,
-    chunk_size: int = _CHUNK_SIZE,
+    sentences, model_set: ModelSet, candidates=None, threads: int = 1
 ) -> list[Prediction]:
-    """Identify many sentences, chunk by chunk, fanning out to a thread pool.
+    """Identify many sentences in the calling thread, chunk by chunk.
 
-    The new words of each chunk of ``chunk_size`` sentences are scored as
-    one batch before its sentences are predicted. Results are returned in
-    input order and are identical for any thread count and chunk size: a
-    word's scores do not depend on the batch it was scored in.
+    The new words of each chunk of ``_CHUNK_SIZE`` sentences are scored as
+    one batch before its sentences are predicted. Results are in input
+    order and identical for any chunk size, as a word's scores do not
+    depend on its batch. ``threads`` is accepted and ignored.
     """
     sentences = list(sentences)
     scorer = model_set.scorer()
     rows, codes = scorer.candidate_rows(candidates)
-    chunks = [sentences[i : i + chunk_size] for i in range(0, len(sentences), chunk_size)]
-
-    def run_chunk(chunk: list[str]) -> list[Prediction]:
+    predictions = []
+    for start in range(0, len(sentences), _CHUNK_SIZE):
+        chunk = sentences[start : start + _CHUNK_SIZE]
         tokens = [tokenize(sentence) for sentence in chunk]
         scorer.score_words(list(chain.from_iterable(tokens)), rows)
-        return [
+        predictions += [
             scorer.predict(sentence, rows, codes, words)
             for sentence, words in zip(chunk, tokens)
         ]
-
-    if threads <= 1 or len(chunks) <= 1:
-        return list(chain.from_iterable(map(run_chunk, chunks)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(chain.from_iterable(pool.map(run_chunk, chunks)))
+    return predictions
 
 
 def identify_set(text: str, model_set: ModelSet, min_share: float = 0.02) -> SetIdentification:

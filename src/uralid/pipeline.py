@@ -12,7 +12,8 @@ The five stages:
    identified together, in one ``identify_batch`` call per set
 4. split lines into sentences, then deduplicate sentences the same way
 5. label each sentence with the language that wins an absolute majority
-   of its words under the same restriction; drop the rest
+   of its words under the same restriction; drop the rest. Sentences that
+   share known languages are scored with one candidate set
 
 Stages 1, 3 and 5 are independent per item; 2 and 4 merge in
 first-occurrence order, so the whole funnel is deterministic.
@@ -127,6 +128,17 @@ def stage2_dedup_lines(pages) -> list[LabeledLine]:
     return _union_dedup(lines())
 
 
+def _candidate_groups(items, registry) -> list[tuple[list[str], list[int]]]:
+    """Restricted candidates and item indices per known-language set.
+
+    Sets come in first-occurrence order; a caller puts results back by index.
+    """
+    groups: dict[frozenset[str], list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item.known_languages, []).append(i)
+    return [(restricted_candidates(registry, langs), ids) for langs, ids in groups.items()]
+
+
 def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
     """Re-identify lines under restriction; keep those a relevant language wins.
 
@@ -136,12 +148,8 @@ def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
     """
     registry = model_set.registry
     lines = list(lines)
-    groups: dict[frozenset[str], list[int]] = {}
-    for i, line in enumerate(lines):
-        groups.setdefault(line.known_languages, []).append(i)
     winners: list[str] = [""] * len(lines)
-    for allowed, indices in groups.items():
-        candidates = restricted_candidates(registry, allowed)
+    for candidates, indices in _candidate_groups(lines, registry):
         predictions = identify_batch([lines[i].text for i in indices], model_set, candidates)
         for i, prediction in zip(indices, predictions):
             winners[i] = prediction.winner
@@ -185,20 +193,21 @@ def stage5_label_sentences(sentences, model_set: ModelSet) -> list[LabeledSenten
     """Label sentences whose words give an absolute majority to one relevant language."""
     registry = model_set.registry
     scorer = model_set.scorer()
-    labeled = []
-    for sentence in sentences:
-        rows, codes = scorer.candidate_rows(
-            restricted_candidates(registry, sentence.known_languages)
-        )
-        winners = scorer.word_winners(sentence.text, rows, codes)
-        majority = None
-        for code, count in Counter(winners).items():
-            if 2 * count > len(winners):
-                majority = code
-                break
-        if majority is not None and registry.is_relevant(majority):
-            labeled.append(LabeledSentence(text=sentence.text, language=majority))
-    return labeled
+    sentences = list(sentences)
+    majorities: list[str | None] = [None] * len(sentences)
+    for candidates, indices in _candidate_groups(sentences, registry):
+        rows, codes = scorer.candidate_rows(candidates)
+        for i in indices:
+            winners = scorer.word_winners(sentences[i].text, rows, codes)
+            for code, count in Counter(winners).items():
+                if 2 * count > len(winners):
+                    majorities[i] = code
+                    break
+    return [
+        LabeledSentence(text=sentence.text, language=majority)
+        for sentence, majority in zip(sentences, majorities)
+        if majority is not None and registry.is_relevant(majority)
+    ]
 
 
 def run_pipeline(

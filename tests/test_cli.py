@@ -94,27 +94,6 @@ def test_identify_candidates_flag_restricts(workspace, capsys, monkeypatch):
     assert winner in {"izh", "swe"}
 
 
-def test_identify_threads_do_not_change_output(workspace, tmp_path):
-    src = tmp_path / "input.txt"
-    vocab = ["abba dede", "figi gihi", "klon molon"]
-    src.write_text("".join(vocab[i % 3] + "\n" for i in range(60)), encoding="utf-8")
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"out{threads}.tsv"
-        code = main(
-            [
-                "identify",
-                "--models", str(workspace["models"]),
-                "--input", str(src),
-                "--out", str(out),
-                "--threads", threads,
-            ]
-        )
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_identify_writes_one_row_per_record(workspace, tmp_path):
     src = tmp_path / "input.txt"
     src.write_text("abba\u2028dede\nfigi\x85gihi\rabba\x0cdede\r\n\nfigi", encoding="utf-8")

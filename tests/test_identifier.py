@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from helpers import (
     to_oracle_models,
 )
 from oracle import oracle_cjk_ratio, oracle_score_sentence, oracle_winner
+from uralid import identifier
+from uralid.corpus import Corpus
 from uralid.identifier import (
     CJK_HIGH_PENALTY,
     apply_cjk_sanity,
@@ -25,7 +30,7 @@ from uralid.identifier import (
     identify_set,
     score_word,
 )
-from uralid.models import HeliParams, LanguageModel, ModelSet
+from uralid.models import HeliParams, LanguageModel, ModelSet, train_models
 
 
 def hand_model_set(tables: dict[str, dict[str, dict[str, float]]], n_max=2, use_words=True):
@@ -379,16 +384,63 @@ def test_self_identification_on_disjoint_corpora():
             assert identify(sentence, ms).winner == code
 
 
-def test_batch_matches_sequential_and_is_thread_invariant():
-    ms = disjoint_model_set()
+def test_batch_matches_across_chunk_sizes(monkeypatch):
     rng = random.Random(3)
     sentences = [
         " ".join(rng.choice("abcde fghij klmno".split()) for _ in range(3))
         for _ in range(600)
     ]
-    solo = identify_batch(sentences, ms, threads=1)
-    pooled = identify_batch(sentences, ms, threads=4, chunk_size=64)
-    assert solo == pooled
+    whole = identify_batch(sentences, disjoint_model_set())
+    monkeypatch.setattr(identifier, "_CHUNK_SIZE", 64)
+    assert identify_batch(sentences, disjoint_model_set()) == whole
+
+
+@pytest.fixture(scope="module")
+def cjk_models():
+    registry = make_registry(codes=[*ALPHABETS, "cmn"], cjk={"cmn"})
+    corpora = [
+        Corpus(language=code, sentences=tuple(disjoint_sentences(code, 10)))
+        for code in ("fkv", "izh", "swe")
+    ]
+    corpora.append(Corpus(language="cmn", sentences=("日本語 中文", "漢字 日本", "中文 漢字")))
+    return train_models(corpora, HeliParams(n_max=3), registry)
+
+
+BATCH_WORDS = ["abba", "dede", "figi", "gihi", "klon", "日本語", "中文", "ab日本", "xyz", "ä"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sentences=st.lists(
+        st.lists(st.sampled_from(BATCH_WORDS), max_size=5).map(" ".join), min_size=1, max_size=40
+    ),
+    data=st.data(),
+)
+def test_batch_ignores_chunking_order_and_cache_state(cjk_models, sentences, data):
+    # repeats come from the small word pool and empty lists give empty lines
+    reference = identify_batch(sentences, cjk_models)
+    order = data.draw(st.permutations(range(len(sentences))))
+    shuffled = [sentences[i] for i in order]
+    size = data.draw(st.integers(1, len(sentences) + 1))
+    with mock.patch.object(identifier, "_CHUNK_SIZE", size):
+        fresh = ModelSet(cjk_models.params, cjk_models.models, cjk_models.registry)
+        cold = identify_batch(shuffled, fresh)
+        warm = identify_batch(shuffled, cjk_models)
+    assert cold == warm == [reference[i] for i in order]
+    # the keyword stays while callers still pass it, and changes nothing
+    assert identify_batch(shuffled, cjk_models, threads=2) == warm
+
+
+def test_dropped_model_set_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        ms = disjoint_model_set()
+        identify("abba dede", ms)  # builds and caches the scorer
+        alive = weakref.ref(ms)
+        del ms
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_word_score_cache_returns_consistent_results():

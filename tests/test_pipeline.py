@@ -1,10 +1,12 @@
 import base64
 import random
+from collections import Counter
 
 import pytest
 
 from helpers import ALPHABETS, disjoint_model_set, disjoint_sentences, make_registry
 from uralid.errors import DataError
+from uralid.features import tokenize
 from uralid.identifier import identify_restricted
 from uralid.pipeline import (
     LabeledLine,
@@ -235,6 +237,39 @@ def test_stage5_single_word_sentence(models):
     word = sentences_of("vep")[0].split()[0]
     kept = stage5_label_sentences([LabeledLine(word, frozenset({"vep"}))], models)
     assert kept == [LabeledSentence(word, "vep")]
+
+
+def test_stage5_equals_per_sentence_word_majority(models):
+    # sentences of every language, plus mixed ones, under repeated known-language sets, shuffled
+    known_sets = [
+        frozenset(s) for s in ({"fkv"}, {"izh"}, {"vep"}, {"fkv", "vep"}, {"fkv", "izh", "vep"})
+    ]
+    texts = [s for code in ALPHABETS for s in disjoint_sentences(code, 6, seed=1)]
+    texts += [
+        f"{a} {b} {c}"
+        for a, b, c in zip(
+            disjoint_sentences("fkv", 6, seed=2, words=1),
+            disjoint_sentences("vep", 6, seed=2, words=1),
+            disjoint_sentences("vep", 6, seed=3, words=1),
+        )
+    ]
+    sentences = [
+        LabeledLine(text, known_sets[i % len(known_sets)]) for i, text in enumerate(texts)
+    ]
+    random.Random(5).shuffle(sentences)
+    expected = []
+    for sentence in sentences:
+        # a one-word sentence's winner is the word's winner
+        winners = [
+            identify_restricted(word, models, sentence.known_languages).winner
+            for word in tokenize(sentence.text)
+        ]
+        top, count = Counter(winners).most_common(1)[0]
+        if 2 * count > len(winners) and models.registry.is_relevant(top):
+            expected.append(LabeledSentence(sentence.text, top))
+    assert {s.language for s in expected} == {"fkv", "izh", "vep"}
+    assert len(expected) < len(sentences)
+    assert stage5_label_sentences(sentences, models) == expected
 
 
 # --- run_pipeline -------------------------------------------------------------
