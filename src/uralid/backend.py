@@ -11,11 +11,13 @@ work dominates identification time. The contract:
 ``feature_ids`` is the concatenation of every word's feature column indices
 (-1 for out-of-vocabulary features); word ``w`` owns the ``counts[w] >= 1``
 entries starting at ``offsets[w]``. ``score_matrix`` holds per-language
-scores with a negative sentinel for absent features. ``scores[w, i]`` is
-the mean over word ``w``'s features of candidate ``i``'s score, and
-``usable[w]`` says whether any candidate had any of the word's features,
-which drives the backoff over feature domains. A word's results do not
-depend on the other words of the batch, bit for bit.
+scores, rows at registry positions, with a negative sentinel for absent
+features; the scorer passes only the batch's block of used columns, with
+the feature ids renumbered to index it. ``scores[w, i]`` is the mean over
+word ``w``'s features of candidate ``i``'s score, and ``usable[w]`` says
+whether any candidate had any of the word's features, which drives the
+backoff over feature domains. A word's results do not depend on the other
+words of the batch, bit for bit.
 """
 
 from __future__ import annotations

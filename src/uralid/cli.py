@@ -175,11 +175,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    config = PipelineConfig(min_share=args.min_share)  # checked before any file is read
     model_set = load_models(args.models)
-    pages = load_pages(args.pages)
-    sentences, funnel = run_pipeline(
-        pages, model_set, PipelineConfig(min_share=args.min_share)
-    )
+    sentences, funnel = run_pipeline(load_pages(args.pages), model_set, config)
     write_sentences(sentences, args.out)
     if args.report:
         write_report(funnel, args.report)

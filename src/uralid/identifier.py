@@ -101,11 +101,15 @@ def apply_cjk_sanity(
 class Scorer:
     """Array form of a ModelSet plus the kernel that scores words with it.
 
-    Rows are registry positions; per domain, a feature vocabulary maps
-    feature strings to matrix columns and absent features carry a negative
-    sentinel. Word scores are memoized per candidate set. The scorer keeps
-    the modeled codes, not the ModelSet that caches it, so the two form no
-    reference cycle.
+    Per domain, a vocabulary maps feature strings to columns, and the
+    stored scores are kept in compressed sparse column form: column ``j``
+    owns the entries of ``_rows[domain]`` (registry rows, ascending) and
+    ``_scores[domain]`` from ``_indptr[domain][j]`` up to ``[j + 1]``, so
+    memory grows with the stored features, not languages times vocabulary.
+    Each batch densifies only the columns it uses for the kernel, absent
+    entries at the -1 sentinel. Word scores are memoized per candidate set.
+    The scorer keeps the modeled codes, not the ModelSet that caches it, so
+    the two form no reference cycle.
     """
 
     def __init__(self, model_set: ModelSet):
@@ -114,23 +118,28 @@ class Scorer:
         self.registry = model_set.registry
         self.penalty = float(self.params.penalty_p)
         self._vocabs: dict[str, dict[str, int]] = {}
-        self._matrices: dict[str, np.ndarray] = {}
+        self._indptr: dict[str, np.ndarray] = {}
+        self._rows: dict[str, np.ndarray] = {}
+        self._scores: dict[str, np.ndarray] = {}
         self._cache: dict[tuple[str, bytes], tuple[np.ndarray, str | None]] = {}
 
-        n_rows = len(self.registry)
         for domain in self.params.domains():
             vocab: dict[str, int] = {}
-            for model in model_set.models.values():
-                for feature in model.domains[domain]:
-                    if feature not in vocab:
-                        vocab[feature] = len(vocab)
-            matrix = np.full((n_rows, max(len(vocab), 1)), -1.0, dtype=np.float64)
+            cols, rows, values = [], [], []
             for code, model in model_set.models.items():
-                row = self.registry.index(code)
-                for feature, score in model.domains[domain].items():
-                    matrix[row, vocab[feature]] = score
+                table = model.domains[domain]
+                cols += [vocab.setdefault(feature, len(vocab)) for feature in table]
+                rows += [self.registry.index(code)] * len(table)
+                values += table.values()
+            cols = np.array(cols, dtype=np.int64)
+            rows = np.array(rows, dtype=np.int32)
+            order = np.lexsort((rows, cols))
             self._vocabs[domain] = vocab
-            self._matrices[domain] = matrix
+            self._indptr[domain] = np.concatenate(
+                ([0], np.bincount(cols, minlength=len(vocab)).cumsum())
+            )
+            self._rows[domain] = rows[order]
+            self._scores[domain] = np.array(values, dtype=np.float64)[order]
 
         self._backoff = ([WORD_DOMAIN] if self.params.use_words else []) + [
             str(n) for n in range(self.params.n_max, 0, -1)
@@ -149,6 +158,18 @@ class Scorer:
             raise ValueError("no candidate languages")
         rows = np.array([self.registry.index(c) for c in codes], dtype=np.int64)
         return rows, codes
+
+    def _densify(self, domain: str, used: np.ndarray) -> np.ndarray:
+        """Block of the vocabulary columns ``used`` over all registry rows, absent at -1.0."""
+        indptr = self._indptr[domain]
+        starts = indptr[used]
+        lengths = indptr[used + 1] - starts
+        columns = np.repeat(np.arange(used.shape[0]), lengths)
+        # the used columns' stored entries, in order: the k-th of column j is at starts[j] + k
+        entries = np.arange(columns.shape[0]) + (starts - (lengths.cumsum() - lengths))[columns]
+        block = np.full((len(self.registry), used.shape[0]), -1.0, dtype=np.float64)
+        block[self._rows[domain][entries], columns] = self._scores[domain][entries]
+        return block
 
     def _score_new(
         self, words: list[str], rows: np.ndarray
@@ -170,11 +191,14 @@ class Scorer:
             if not batch:
                 continue
             count_array = np.array(counts, dtype=np.int64)
+            ids = np.array(ids, dtype=np.int64)
+            known = ids >= 0
+            used, ids[known] = np.unique(ids[known], return_inverse=True)
             scores, usable = kernel(
-                np.array(ids, dtype=np.int64),
+                ids,
                 count_array.cumsum() - count_array,
                 count_array,
-                self._matrices[domain],
+                self._densify(domain, used),
                 rows,
                 self.penalty,
             )

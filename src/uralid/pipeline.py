@@ -88,6 +88,10 @@ class PipelineReport:
 class PipelineConfig:
     min_share: float = DEFAULT_MIN_SHARE
 
+    def __post_init__(self):
+        if not 0.0 < self.min_share <= 1.0:
+            raise ValueError(f"min_share must be in (0, 1], got {self.min_share}")
+
 
 def page_lines(page: Page) -> list[str]:
     """The page's non-blank lines, in order."""

@@ -1,9 +1,11 @@
+import base64
 import io
 import shutil
 
 import pytest
 
 from helpers import ALPHABETS, disjoint_sentences, make_registry
+from uralid import cli
 from uralid.cli import main
 from uralid.models import load_models
 from uralid.registry import save_registry
@@ -264,6 +266,24 @@ def test_pipeline_end_to_end(workspace, tmp_path, capsys):
     rows = out.read_text(encoding="utf-8").splitlines()
     assert rows == [f"{fkv[0]}.\tfkv", f"{fkv[1]}!\tfkv"]
     assert report.read_text(encoding="utf-8").startswith("pages_in\t2\n")
+
+
+@pytest.mark.parametrize("crawl", ["empty", "one page"])
+def test_pipeline_min_share_out_of_range_is_usage_error_before_any_work(
+    workspace, tmp_path, capsys, monkeypatch, crawl
+):
+    pages = tmp_path / "pages.tsv"
+    text = " ".join(disjoint_sentences("fkv", 3))
+    encoded = base64.b64encode(text.encode("utf-8")).decode("ascii")
+    pages.write_text("" if crawl == "empty" else f"one\t{encoded}\n", encoding="utf-8")
+    loaded = []
+    monkeypatch.setattr(cli, "load_models", lambda path: loaded.append(path))
+    out = tmp_path / "sentences.tsv"
+    argv = ["pipeline", "--pages", str(pages), "--models", str(workspace["models"]),
+            "--out", str(out), "--min-share", "5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "uralid: error: min_share must be in (0, 1], got 5.0\n"
+    assert loaded == [] and not out.exists()
 
 
 # --- exit codes ------------------------------------------------------------

@@ -22,6 +22,7 @@ from uralid import identifier
 from uralid.corpus import Corpus
 from uralid.identifier import (
     CJK_HIGH_PENALTY,
+    Scorer,
     apply_cjk_sanity,
     cjk_ratio,
     identify,
@@ -452,6 +453,56 @@ def test_word_score_cache_returns_consistent_results():
     assert domain_first == domain_second
     assert np.array_equal(first, second)
     assert not second.flags.writeable
+
+
+# --- sparse layout -----------------------------------------------------------
+
+
+def dense_matrix(ms: ModelSet, vocab: dict[str, int], domain: str) -> np.ndarray:
+    """The (registry, vocabulary) matrix of one domain, absent features at -1."""
+    matrix = np.full((len(ms.registry), len(vocab)), -1.0, dtype=np.float64)
+    for code, model in ms.models.items():
+        for feature, score in model.domains[domain].items():
+            matrix[ms.registry.index(code), vocab[feature]] = score
+    return matrix
+
+
+def test_sparse_layout_densifies_to_the_dense_matrix():
+    # random model sets leave registered languages without a model, switch
+    # the word domain off, and at cutoff 0.05 leave some domains near-empty
+    rng = random.Random(21)
+    for _ in range(60):
+        ms = random_model_set(rng)
+        scorer = Scorer(ms)
+        for domain in ms.params.domains():
+            vocab = scorer._vocabs[domain]
+            assert set(vocab) == {f for m in ms.models.values() for f in m.domains[domain]}
+            dense = dense_matrix(ms, vocab, domain)
+            every = np.arange(len(vocab))
+            assert scorer._densify(domain, every).tobytes() == dense.tobytes()
+            some = np.array(sorted(rng.sample(range(len(vocab)), len(vocab) // 2)), dtype=np.int64)
+            assert scorer._densify(domain, some).tobytes() == dense[:, some].tobytes()
+    # a domain no model has features in stores nothing and is backed off from
+    ms = hand_model_set({"fkv": {"2": {"ja": 0.5}}, "izh": {}}, n_max=3)
+    scorer = Scorer(ms)
+    assert scorer._indptr["3"].tolist() == [0] and scorer._rows["3"].size == 0
+    assert scorer._densify("3", np.arange(0)).shape == (len(ms.registry), 0)
+    assert score_word("ja", ms)[1] == "2"
+
+
+def test_scorer_memory_grows_with_stored_features_not_languages_times_vocabulary():
+    ms = disjoint_model_set(codes=("fkv", "izh", "swe"), sentences=30)
+    scorer = ms.scorer()
+    identify_batch(["abba dede figi", "klon molon"], ms)
+    held = 0
+    for name, value in vars(scorer).items():
+        assert not isinstance(value, np.ndarray), name
+        for domain, array in value.items() if isinstance(value, dict) else ():
+            if isinstance(array, np.ndarray):
+                stored = sum(len(m.domains[domain]) for m in ms.models.values())
+                assert array.size <= stored + len(scorer._vocabs[domain]) + 1, (name, domain)
+                held += 1
+    assert held >= len(ms.params.domains())
 
 
 def test_tie_breaks_by_registry_order():
