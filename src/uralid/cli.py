@@ -14,7 +14,7 @@ from . import __version__
 from .corpus import load_corpus, sniff_format
 from .errors import DataError, decode_utf8, read_utf8, split_records
 from .evaluation import compute_track_scores, confusion, format_track_scores, load_labels, report
-from .identifier import format_prediction, identify_batch, main_throughput_note
+from .identifier import DEFAULT_MIN_SHARE, format_prediction, identify_batch, main_throughput_note
 from .models import HeliParams, load_models, save_models, train_models
 from .pipeline import (
     PipelineConfig,
@@ -95,8 +95,8 @@ def build_parser() -> _Parser:
     pipeline.add_argument("--models", required=True, help="model directory")
     pipeline.add_argument("--out", required=True, help="labeled sentence TSV to write")
     pipeline.add_argument("--report", help="funnel count TSV to write")
-    pipeline.add_argument("--min-share", dest="min_share", type=float, default=0.02,
-                          help="minimum relevant text share to keep a page (default 0.02)")
+    pipeline.add_argument("--min-share", dest="min_share", type=float, default=DEFAULT_MIN_SHARE,
+                          help="minimum relevant text share to keep a page (default %(default)s)")
     pipeline.set_defaults(func=cmd_pipeline)
 
     return parser

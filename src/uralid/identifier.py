@@ -13,16 +13,14 @@ Texts dominated by CJK characters get a sanity adjustment: when more than
 half of the non-whitespace characters fall in CJK blocks, every non-CJK
 candidate is pushed out of contention by a large constant.
 
-Words are scored in batches: ``Scorer.score_words`` takes the words a
-caller is about to need, skips those already in the word cache and walks
-the backoff order over the rest, one kernel call per feature domain for
-every word still unresolved there (see ``backend`` for the kernel
-contract). A word's scores do not depend on the batch it was scored in.
-``identify_batch`` is the one function that turns texts into predictions:
-it scores the unique words of each chunk of sentences this way before
-predicting each one, and ``identify``, ``identify_restricted``,
-``identify_set`` and pipeline stage 3 all go through it.
-``Scorer.word_winners`` scores a sentence's words as one batch.
+Words are scored in batches: ``Scorer.score_words`` looks each distinct
+word up in the word cache once and walks the backoff order over the rest,
+one kernel call per feature domain for every word still unresolved there
+(see ``backend`` for the kernel contract). A word's scores do not depend on
+the batch. ``Scorer.predict`` turns a chunk of sentences into predictions
+from one such batch, and ``identify_batch`` calls it per chunk: every other
+identify function and pipeline stage 3 go through it. Pipeline stage 5
+takes per-word winners from ``Scorer.word_winners``, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +46,9 @@ _CACHE_LIMIT = 1 << 20
 # Sentences (or lines) whose new words are scored together: bounds the
 # memory one batch takes. Read at call time, so tests can change it.
 _CHUNK_SIZE = 256
+
+# Least share of a text's characters its dominant language must win.
+DEFAULT_MIN_SHARE = 0.02
 
 
 @dataclass(frozen=True)
@@ -221,12 +222,13 @@ class Scorer:
     ) -> list[tuple[np.ndarray, str | None]]:
         """Memoized (scores, domain) of each word for the given candidate rows.
 
-        The words missing from the cache are scored together, one kernel
-        call per feature domain they reach. Score arrays are read-only.
+        Each distinct word is looked up in the cache once; those missing are
+        scored together, one kernel call per feature domain they reach.
+        Score arrays are read-only.
         """
         key = rows.tobytes()
         cache = self._cache
-        found = {word: cache.get((word, key)) for word in words}
+        found = {word: cache.get((word, key)) for word in dict.fromkeys(words)}
         new = [word for word, hit in found.items() if hit is None]
         if new:
             scored = self._score_new(new, rows)
@@ -240,47 +242,48 @@ class Scorer:
         """Memoized per-word scores for the given candidate rows (read-only)."""
         return self.score_words([word], rows)[0]
 
-    def score_sentence(
-        self, sentence: str, rows: np.ndarray, words: list[str] | None = None
-    ) -> tuple[np.ndarray, tuple[tuple[str, str | None], ...]]:
-        """Mean per-word score vector and the per-word domain trace.
+    def score_sentences(
+        self, tokens: list[list[str]], rows: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[tuple[str, str | None], ...]]]:
+        """Mean word-score row and (word, domain) trace of each token list.
 
-        ``words`` are the sentence's tokens, for a caller that has them already.
+        A sentence's word rows are added in word order, as ``acc += row``
+        adds them (``ndarray.sum`` over the word axis may pair them up),
+        then divided by its token count; an empty list gets the penalty row.
         """
-        if words is None:
-            words = tokenize(sentence)
-        if not words:
-            return np.full(rows.shape[0], self.penalty), ()
-        acc = np.zeros(rows.shape[0], dtype=np.float64)
-        trace = []
-        for word, (scores, domain) in zip(words, self.score_words(words, rows)):
-            acc += scores
-            trace.append((word, domain))
-        acc /= len(words)
-        return acc, tuple(trace)
+        entries = self.score_words(list(chain.from_iterable(tokens)), rows)
+        counts = np.array([len(words) for words in tokens], dtype=np.int64)
+        starts = counts.cumsum() - counts
+        sums = np.zeros((len(tokens), rows.shape[0]), dtype=np.float64)
+        table = np.array([scores for scores, _ in entries])
+        for k in range(counts.max(initial=0)):
+            sums[counts > k] += table[starts[counts > k] + k]
+        domains = iter(entries)
+        traces = [tuple((word, next(domains)[1]) for word in words) for words in tokens]
+        means = sums / np.maximum(counts, 1)[:, None]
+        return np.where(counts[:, None] > 0, means, self.penalty), traces
 
-    def word_winners(self, sentence: str, rows: np.ndarray, codes: list[str]) -> list[str]:
-        """Winning language per word (registry-order tie-break)."""
-        return [
-            codes[int(np.argmin(scores))]
-            for scores, _ in self.score_words(tokenize(sentence), rows)
-        ]
+    def word_winners(self, texts: list[str], rows: np.ndarray, codes: list[str]) -> list[list[str]]:
+        """Each text's per-word winners (first minimum in ``codes`` order), a chunk at a time."""
+        winners = []
+        for start in range(0, len(texts), _CHUNK_SIZE):
+            tokens = [tokenize(text) for text in texts[start : start + _CHUNK_SIZE]]
+            entries = iter(self.score_words(list(chain.from_iterable(tokens)), rows))
+            winners += [[codes[np.argmin(next(entries)[0])] for _ in words] for words in tokens]
+        return winners
 
-    def predict(
-        self, sentence: str, rows: np.ndarray, codes: list[str], words: list[str] | None = None
-    ) -> Prediction:
-        """Winner, per-candidate scores and domain trace of one sentence.
+    def predict(self, sentences: list[str], rows: np.ndarray, codes: list[str]) -> list[Prediction]:
+        """Winner, per-candidate scores and domain trace of each sentence.
 
-        ``words`` are the sentence's tokens, for a caller that has them already.
+        The CJK rule applies first; the winner is the first minimum in ``codes`` order.
         """
-        raw, trace = self.score_sentence(sentence, rows, words)
-        scores = dict(zip(codes, raw.tolist()))
-        scores = apply_cjk_sanity(scores, sentence, self.registry)
-        winner, best = None, float("inf")
-        for code, score in scores.items():
-            if score < best:
-                winner, best = code, score
-        return Prediction(winner=winner, scores=scores, domain_trace=trace)
+        means, traces = self.score_sentences([tokenize(s) for s in sentences], rows)
+        predictions = []
+        for sentence, raw, trace in zip(sentences, means.tolist(), traces):
+            scores = apply_cjk_sanity(dict(zip(codes, raw)), sentence, self.registry)
+            winner = min(scores, key=scores.__getitem__)
+            predictions.append(Prediction(winner=winner, scores=scores, domain_trace=trace))
+        return predictions
 
 
 def score_word(
@@ -325,27 +328,23 @@ def identify_batch(
 ) -> list[Prediction]:
     """Identify many sentences in the calling thread, chunk by chunk.
 
-    The new words of each chunk of ``_CHUNK_SIZE`` sentences are scored as
-    one batch before its sentences are predicted. Results are in input
-    order and identical for any chunk size, as a word's scores do not
-    depend on its batch. ``threads`` is accepted and ignored.
+    Each chunk of ``_CHUNK_SIZE`` sentences is one ``Scorer.predict`` call.
+    Results are in input order and identical for any chunk size, as a
+    word's scores do not depend on its batch. ``threads`` is accepted and
+    ignored.
     """
     sentences = list(sentences)
     scorer = model_set.scorer()
     rows, codes = scorer.candidate_rows(candidates)
     predictions = []
     for start in range(0, len(sentences), _CHUNK_SIZE):
-        chunk = sentences[start : start + _CHUNK_SIZE]
-        tokens = [tokenize(sentence) for sentence in chunk]
-        scorer.score_words(list(chain.from_iterable(tokens)), rows)
-        predictions += [
-            scorer.predict(sentence, rows, codes, words)
-            for sentence, words in zip(chunk, tokens)
-        ]
+        predictions += scorer.predict(sentences[start : start + _CHUNK_SIZE], rows, codes)
     return predictions
 
 
-def identify_set(text: str, model_set: ModelSet, min_share: float = 0.02) -> SetIdentification:
+def identify_set(
+    text: str, model_set: ModelSet, min_share: float = DEFAULT_MIN_SHARE
+) -> SetIdentification:
     """Estimate language shares of a multi-line text.
 
     Each non-blank line is identified on its own, by one ``identify_batch``

@@ -13,7 +13,7 @@ The five stages:
 4. split lines into sentences, then deduplicate sentences the same way
 5. label each sentence with the language that wins an absolute majority
    of its words under the same restriction; drop the rest. Sentences that
-   share known languages are scored with one candidate set
+   share known languages go to one ``Scorer.word_winners`` call
 
 Stages 1, 3 and 5 are independent per item; 2 and 4 merge in
 first-occurrence order, so the whole funnel is deterministic.
@@ -28,10 +28,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import DataError, read_utf8, split_records
-from .identifier import identify_batch, identify_set, restricted_candidates
+from .identifier import DEFAULT_MIN_SHARE, identify_batch, identify_set, restricted_candidates
 from .models import ModelSet
 
-DEFAULT_MIN_SHARE = 0.02
 SENTENCE_TERMINATORS = re.compile(r"[.!?…]+(?=\s|$)")
 
 
@@ -201,8 +200,8 @@ def stage5_label_sentences(sentences, model_set: ModelSet) -> list[LabeledSenten
     majorities: list[str | None] = [None] * len(sentences)
     for candidates, indices in _candidate_groups(sentences, registry):
         rows, codes = scorer.candidate_rows(candidates)
-        for i in indices:
-            winners = scorer.word_winners(sentences[i].text, rows, codes)
+        texts = [sentences[i].text for i in indices]
+        for i, winners in zip(indices, scorer.word_winners(texts, rows, codes)):
             for code, count in Counter(winners).items():
                 if 2 * count > len(winners):
                     majorities[i] = code

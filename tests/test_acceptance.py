@@ -31,7 +31,7 @@ from uralid import identifier
 from uralid.cli import main
 from uralid.corpus import Corpus
 from uralid.evaluation import confusion, prf, track2
-from uralid.features import extract_ngrams
+from uralid.features import extract_ngrams, tokenize
 from uralid.identifier import format_prediction, identify, identify_batch
 from uralid.models import HeliParams, load_models, save_models, train_models
 from uralid.pipeline import (
@@ -285,8 +285,8 @@ def test_criterion_07_cjk_majority_rule():
             rng.shuffle(chars)
             text = "".join(chars)
             assert oracle_cjk_ratio(text, blocks) == 0.5
-            raw, _ = scorer.score_sentence(text, rows)
-            prediction = scorer.predict(text, rows, codes)
+            raw = scorer.score_sentences([tokenize(text)], rows)[0][0]
+            prediction = scorer.predict([text], rows, codes)[0]
             assert prediction.scores == {
                 code: float(raw[i]) for i, code in enumerate(codes)
             }

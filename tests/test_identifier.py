@@ -15,11 +15,13 @@ from helpers import (
     make_registry,
     random_model_set,
     random_sentence,
+    random_word,
     to_oracle_models,
 )
 from oracle import oracle_cjk_ratio, oracle_score_sentence, oracle_winner
 from uralid import identifier
 from uralid.corpus import Corpus
+from uralid.features import tokenize
 from uralid.identifier import (
     CJK_HIGH_PENALTY,
     Scorer,
@@ -430,6 +432,35 @@ def test_batch_ignores_chunking_order_and_cache_state(cjk_models, sentences, dat
     assert cold == warm == [reference[i] for i in order]
     # the keyword stays while callers still pass it, and changes nothing
     assert identify_batch(shuffled, cjk_models, threads=2) == warm
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_chunk_sums_are_bit_exact_running_sums(seed, data):
+    rng = random.Random(seed)
+    registry = make_registry(codes=[*ALPHABETS, "cmn"], cjk={"cmn"})
+    model_set = random_model_set(rng, registry=registry)
+    modeled = sorted(model_set.models)
+    size = data.draw(st.integers(1, len(modeled)))  # single-candidate sets included
+    candidates = data.draw(st.permutations(modeled))[:size]
+    pool = [random_word(rng) for _ in range(12)] + ["日本語", "中文", "ab日本"]
+    sentence = st.lists(st.sampled_from(pool), max_size=40).map(" ".join)
+    sentences = data.draw(st.lists(sentence, min_size=1, max_size=20))
+    chunk = data.draw(st.integers(1, len(sentences) + 1))
+    with mock.patch.object(identifier, "_CHUNK_SIZE", chunk):
+        predictions = identify_batch(sentences, model_set, candidates)
+
+    scorer = model_set.scorer()
+    rows, codes = scorer.candidate_rows(candidates)
+    for sentence, prediction in zip(sentences, predictions):
+        words = tokenize(sentence)
+        acc = np.zeros(rows.shape[0])
+        for scores, _ in scorer.score_words(words, rows):
+            acc += scores
+        raw = acc / len(words) if words else np.full(rows.shape[0], scorer.penalty)
+        expected = apply_cjk_sanity(dict(zip(codes, raw.tolist())), sentence, registry)
+        assert list(prediction.scores.items()) == list(expected.items())
+        assert prediction.winner == min(expected, key=expected.__getitem__)
 
 
 def test_dropped_model_set_is_freed_without_the_cycle_collector():
