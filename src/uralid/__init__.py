@@ -21,13 +21,11 @@ from .evaluation import (
 from .features import extract_ngrams, pad_word, tokenize
 from .identifier import (
     Prediction,
-    SetIdentification,
     apply_cjk_sanity,
     cjk_ratio,
     identify,
     identify_batch,
     identify_restricted,
-    identify_set,
     score_word,
 )
 from .models import HeliParams, LanguageModel, ModelSet, load_models, save_models, train_models
@@ -58,7 +56,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineReport",
     "Prediction",
-    "SetIdentification",
     "TrackScores",
     "apply_cjk_sanity",
     "cjk_ratio",
@@ -69,7 +66,6 @@ __all__ = [
     "identify",
     "identify_batch",
     "identify_restricted",
-    "identify_set",
     "load_corpus",
     "load_models",
     "load_registry",

@@ -14,9 +14,10 @@ from . import __version__
 from .corpus import load_corpus, sniff_format
 from .errors import DataError, decode_utf8, read_utf8, split_records
 from .evaluation import compute_track_scores, confusion, format_track_scores, load_labels, report
-from .identifier import DEFAULT_MIN_SHARE, format_prediction, identify_batch, main_throughput_note
+from .identifier import format_prediction, identify_batch, main_throughput_note
 from .models import HeliParams, load_models, save_models, train_models
 from .pipeline import (
+    DEFAULT_MIN_SHARE,
     PipelineConfig,
     format_report,
     load_pages,

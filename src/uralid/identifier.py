@@ -18,9 +18,12 @@ word up in the word cache once and walks the backoff order over the rest,
 one kernel call per feature domain for every word still unresolved there
 (see ``backend`` for the kernel contract). A word's scores do not depend on
 the batch. ``Scorer.predict`` turns a chunk of sentences into predictions
-from one such batch, and ``identify_batch`` calls it per chunk: every other
-identify function and pipeline stage 3 go through it. Pipeline stage 5
-takes per-word winners from ``Scorer.word_winners``, a chunk at a time.
+from one such batch, applying the CJK rule and picking winners over the
+chunk's score rows at once, and ``identify_batch`` calls it per chunk:
+every other identify function and pipeline stages 1 and 3 go through it.
+Stage 1 is one ``identify_batch`` call over the lines of the whole crawl.
+Pipeline stage 5 takes per-word winners from ``Scorer.word_winners``, a
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -47,9 +50,6 @@ _CACHE_LIMIT = 1 << 20
 # memory one batch takes. Read at call time, so tests can change it.
 _CHUNK_SIZE = 256
 
-# Least share of a text's characters its dominant language must win.
-DEFAULT_MIN_SHARE = 0.02
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -58,14 +58,6 @@ class Prediction:
     winner: str
     scores: dict[str, float]
     domain_trace: tuple[tuple[str, str | None], ...]
-
-
-@dataclass(frozen=True)
-class SetIdentification:
-    """Language shares of a multi-line text, weighted by character count."""
-
-    shares: dict[str, float]
-    dominant: str | None
 
 
 def cjk_ratio(text: str, blocks=DEFAULT_CJK_BLOCKS) -> float:
@@ -84,19 +76,17 @@ def cjk_ratio(text: str, blocks=DEFAULT_CJK_BLOCKS) -> float:
 
 
 def apply_cjk_sanity(
-    scores: dict[str, float], sentence: str, registry: LanguageRegistry
-) -> dict[str, float]:
-    """Push non-CJK candidates out when the text is majority-CJK.
+    scores: np.ndarray, sentences: list[str], codes: list[str], registry: LanguageRegistry
+) -> np.ndarray:
+    """Push non-CJK candidates out of the rows whose text is majority-CJK.
 
-    Strictly more than half of the non-whitespace characters must be CJK;
-    a ratio of exactly 0.5 leaves the scores untouched.
+    ``scores`` holds one row per sentence and one column per code. Strictly
+    more than half of a sentence's non-whitespace characters must be CJK;
+    a ratio of exactly 0.5 leaves its row untouched. Returns a new array.
     """
-    if cjk_ratio(sentence, registry.cjk_blocks) <= 0.5:
-        return dict(scores)
-    return {
-        code: score if registry.is_cjk(code) else score + CJK_HIGH_PENALTY
-        for code, score in scores.items()
-    }
+    tripped = np.array([cjk_ratio(s, registry.cjk_blocks) > 0.5 for s in sentences], dtype=bool)
+    non_cjk = np.array([not registry.is_cjk(code) for code in codes], dtype=bool)
+    return np.where(tripped[:, None] & non_cjk, scores + CJK_HIGH_PENALTY, scores)
 
 
 class Scorer:
@@ -268,8 +258,10 @@ class Scorer:
         winners = []
         for start in range(0, len(texts), _CHUNK_SIZE):
             tokens = [tokenize(text) for text in texts[start : start + _CHUNK_SIZE]]
-            entries = iter(self.score_words(list(chain.from_iterable(tokens)), rows))
-            winners += [[codes[np.argmin(next(entries)[0])] for _ in words] for words in tokens]
+            entries = self.score_words(list(chain.from_iterable(tokens)), rows)
+            table = np.array([scores for scores, _ in entries]).reshape(len(entries), rows.shape[0])
+            best = iter(table.argmin(axis=1).tolist())
+            winners += [[codes[next(best)] for _ in words] for words in tokens]
         return winners
 
     def predict(self, sentences: list[str], rows: np.ndarray, codes: list[str]) -> list[Prediction]:
@@ -278,12 +270,11 @@ class Scorer:
         The CJK rule applies first; the winner is the first minimum in ``codes`` order.
         """
         means, traces = self.score_sentences([tokenize(s) for s in sentences], rows)
-        predictions = []
-        for sentence, raw, trace in zip(sentences, means.tolist(), traces):
-            scores = apply_cjk_sanity(dict(zip(codes, raw)), sentence, self.registry)
-            winner = min(scores, key=scores.__getitem__)
-            predictions.append(Prediction(winner=winner, scores=scores, domain_trace=trace))
-        return predictions
+        means = apply_cjk_sanity(means, sentences, codes, self.registry)
+        return [
+            Prediction(winner=codes[best], scores=dict(zip(codes, row)), domain_trace=trace)
+            for best, row, trace in zip(means.argmin(axis=1).tolist(), means.tolist(), traces)
+        ]
 
 
 def score_word(
@@ -340,42 +331,6 @@ def identify_batch(
     for start in range(0, len(sentences), _CHUNK_SIZE):
         predictions += scorer.predict(sentences[start : start + _CHUNK_SIZE], rows, codes)
     return predictions
-
-
-def identify_set(
-    text: str, model_set: ModelSet, min_share: float = DEFAULT_MIN_SHARE
-) -> SetIdentification:
-    """Estimate language shares of a multi-line text.
-
-    Each non-blank line is identified on its own, by one ``identify_batch``
-    call over all the lines; a language's share is the fraction of
-    characters in the lines it won. The dominant language is the relevant
-    one with the greatest share, provided that share reaches
-    ``min_share``; ties go to registry order. Only nonzero shares are
-    reported.
-    """
-    if not 0.0 < min_share <= 1.0:
-        raise ValueError(f"min_share must be in (0, 1], got {min_share}")
-    registry = model_set.registry
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return SetIdentification(shares={}, dominant=None)
-    chars_won: dict[str, int] = {}
-    total = 0
-    for line, prediction in zip(lines, identify_batch(lines, model_set)):
-        chars_won[prediction.winner] = chars_won.get(prediction.winner, 0) + len(line)
-        total += len(line)
-    shares = {
-        code: chars_won[code] / total for code in registry.sort_by_order(chars_won)
-    }
-    dominant = None
-    best = 0.0
-    for code, share in shares.items():
-        if registry.is_relevant(code) and share > best:
-            dominant, best = code, share
-    if best < min_share:
-        dominant = None
-    return SetIdentification(shares=shares, dominant=dominant)
 
 
 def format_prediction(index: int, prediction: Prediction, with_scores: bool) -> str:

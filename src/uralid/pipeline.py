@@ -3,7 +3,10 @@
 The five stages:
 
 1. keep pages with at least ``min_share`` of their text in some relevant
-   language; the most prominent one becomes the page language
+   language; the most prominent one becomes the page language. Every
+   non-blank line of every page is identified in one ``identify_batch``
+   call over the crawl, and the characters each language wins are then
+   counted page by page
 2. split pages into lines and deduplicate; a line seen on pages with
    different languages keeps the union as its known languages
 3. re-identify each line restricted to its known languages plus all
@@ -25,13 +28,17 @@ import base64
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 from .errors import DataError, read_utf8, split_records
-from .identifier import DEFAULT_MIN_SHARE, identify_batch, identify_set, restricted_candidates
+from .identifier import identify_batch, restricted_candidates
 from .models import ModelSet
 
 SENTENCE_TERMINATORS = re.compile(r"[.!?…]+(?=\s|$)")
+
+# Least share of a page's characters its dominant language must win.
+DEFAULT_MIN_SHARE = 0.02
 
 
 @dataclass(frozen=True)
@@ -100,12 +107,33 @@ def page_lines(page: Page) -> list[str]:
 def stage1_filter_pages(
     pages, model_set: ModelSet, min_share: float = DEFAULT_MIN_SHARE
 ) -> list[Page]:
-    """Keep pages dominated by a relevant language and record which one."""
+    """Keep pages dominated by a relevant language and record which one.
+
+    A language's share of a page is the fraction of characters in the
+    page's non-blank lines that it wins. The page language is the relevant
+    one with the greatest share, ties going to registry order, provided
+    that share reaches ``min_share``.
+    """
+    PipelineConfig(min_share=min_share)  # validates before any work
+    registry = model_set.registry
+    pages = list(pages)
+    lines = [page_lines(page) for page in pages]
+    predictions = iter(identify_batch(chain.from_iterable(lines), model_set))
     kept = []
-    for page in pages:
-        result = identify_set(page.text, model_set, min_share=min_share)
-        if result.dominant is not None:
-            kept.append(replace(page, page_language=result.dominant))
+    for page, texts in zip(pages, lines):
+        chars_won: Counter[str] = Counter()
+        for text in texts:
+            chars_won[next(predictions).winner] += len(text)
+        total = sum(chars_won.values())
+        shares = {
+            code: chars_won[code] / total
+            for code in registry.sort_by_order(chars_won)
+            if registry.is_relevant(code)
+        }
+        if shares:
+            dominant = max(shares, key=shares.__getitem__)
+            if shares[dominant] >= min_share:
+                kept.append(replace(page, page_language=dominant))
     return kept
 
 

@@ -30,7 +30,6 @@ from uralid.identifier import (
     identify,
     identify_batch,
     identify_restricted,
-    identify_set,
     score_word,
 )
 from uralid.models import HeliParams, LanguageModel, ModelSet, train_models
@@ -200,43 +199,68 @@ def test_cjk_ratio_counts_every_whitespace_code_point_as_whitespace():
     assert cjk_ratio(text) == oracle_cjk_ratio(text, list(BLOCKS)) == 0.5
 
 
+def sanity(scores: dict[str, float], sentence: str, registry) -> dict[str, float]:
+    """The chunk rule applied to one sentence, as a one-row array."""
+    codes = list(scores)
+    row = np.array([list(scores.values())])
+    return dict(zip(codes, apply_cjk_sanity(row, [sentence], codes, registry)[0].tolist()))
+
+
 def test_sanity_penalizes_non_cjk_only():
     registry = make_registry(codes=["cmn", "fin"], cjk={"cmn"})
-    scores = apply_cjk_sanity({"cmn": 2.0, "fin": 1.0}, "日本語аб", registry)
+    scores = sanity({"cmn": 2.0, "fin": 1.0}, "日本語аб", registry)
     assert scores == {"cmn": 2.0, "fin": 1.0 + CJK_HIGH_PENALTY}
 
 
 def test_sanity_boundary_is_strict():
     registry = make_registry(codes=["cmn", "fin"], cjk={"cmn"})
-    scores = apply_cjk_sanity({"cmn": 2.0, "fin": 1.0}, "ab日本", registry)
+    scores = sanity({"cmn": 2.0, "fin": 1.0}, "ab日本", registry)
     assert scores == {"cmn": 2.0, "fin": 1.0}
 
 
 def test_sanity_without_cjk_candidates_shifts_uniformly():
     registry = make_registry(codes=["fkv", "fin"])
     before = {"fkv": 2.0, "fin": 1.0}
-    after = apply_cjk_sanity(before, "日本語", registry)
+    after = sanity(before, "日本語", registry)
     assert after == {"fkv": 1002.0, "fin": 1001.0}
     assert min(after, key=after.get) == min(before, key=before.get)
 
 
 def test_sanity_returns_copy_when_untouched():
     registry = make_registry(codes=["cmn"], cjk={"cmn"})
-    before = {"cmn": 1.0}
-    after = apply_cjk_sanity(before, "abc", registry)
-    assert after == before and after is not before
+    before = np.array([[1.0]])
+    after = apply_cjk_sanity(before, ["abc"], ["cmn"], registry)
+    assert after.tolist() == [[1.0]] and after is not before
 
 
 def test_registry_blocks_drive_the_ratio():
     # registry that only counts Katakana: Hiragana input stays below 0.5
     registry = make_registry(codes=["cmn", "fin"], cjk={"cmn"}, blocks=[(0x30A0, 0x30FF)])
-    scores = apply_cjk_sanity({"cmn": 2.0, "fin": 1.0}, "ひらがな", registry)
+    scores = sanity({"cmn": 2.0, "fin": 1.0}, "ひらがな", registry)
     assert scores == {"cmn": 2.0, "fin": 1.0}
-    scores = apply_cjk_sanity({"cmn": 2.0, "fin": 1.0}, "カタカナ", registry)
+    scores = sanity({"cmn": 2.0, "fin": 1.0}, "カタカナ", registry)
     assert scores == {"cmn": 2.0, "fin": 1001.0}
 
 
-# --- restricted and set identification ---------------------------------------
+def test_sanity_shifts_only_the_tripped_rows_of_a_chunk():
+    registry = make_registry(codes=["fkv", "cmn", "fin"], cjk={"cmn"})
+    codes = ["fkv", "cmn", "fin"]
+    # ratios 1.0, 0.0, exactly 0.5, 0.75 and 0.0 (empty)
+    sentences = ["日本語", "abc", "ab日本", "a日本語", ""]
+    before = np.arange(15, dtype=np.float64).reshape(5, 3) / 4
+    after = apply_cjk_sanity(before, sentences, codes, registry)
+    shift = np.array([CJK_HIGH_PENALTY, 0.0, CJK_HIGH_PENALTY])
+    assert after.tolist() == [
+        (before[0] + shift).tolist(),
+        before[1].tolist(),
+        before[2].tolist(),
+        (before[3] + shift).tolist(),
+        before[4].tolist(),
+    ]
+    assert before.tolist() == (np.arange(15, dtype=np.float64).reshape(5, 3) / 4).tolist()
+
+
+# --- restricted identification -----------------------------------------------
 
 
 def test_restricted_candidates_are_allowed_plus_non_relevant():
@@ -298,54 +322,6 @@ def test_restriction_can_reselect_domains_and_lower_scores():
     assert full.winner == "fkv" and full.scores["fkv"] == 2.0
     assert small.scores["izh"] == pytest.approx(0.5, abs=1e-12)
     assert small.scores["izh"] < full.scores[full.winner]
-
-
-def test_set_identification_boundary_share_is_inclusive():
-    ms = disjoint_model_set(codes=("fkv", "izh", "vep", "swe", "fin"))
-    # 98 chars won by fin (non-relevant), 2 by vep: share 0.02 reaches the
-    # threshold ("at least"), so vep is dominant.
-    fin_line = "uvwxy " * 16 + "uv"
-    assert len(fin_line) == 98
-    result = identify_set(fin_line + "\npq", ms)
-    assert result.shares == {"vep": 0.02, "fin": 0.98}
-    assert result.dominant == "vep"
-
-
-def test_set_identification_below_threshold_has_no_dominant():
-    ms = disjoint_model_set(codes=("fkv", "izh", "vep", "swe", "fin"))
-    swe_line = "klmno " * 33  # 198 chars
-    result = identify_set(swe_line + "\npq", ms)
-    assert result.dominant is None
-    assert result.shares["vep"] == pytest.approx(0.01, abs=1e-12)
-
-
-def test_set_identification_all_non_relevant_has_no_dominant():
-    ms = disjoint_model_set(codes=("fkv", "izh", "vep", "swe", "fin"))
-    result = identify_set("klmn oklm\nuvw xyw", ms)
-    assert result.dominant is None
-    assert set(result.shares) == {"swe", "fin"}
-
-
-def test_set_identification_share_tie_goes_to_registry_order():
-    ms = disjoint_model_set(codes=("fkv", "izh", "vep", "swe", "fin"))
-    text = "abcd eabcd\npqrs tpqrs\nklmn oklmnoklmn klmn"
-    result = identify_set(text, ms)
-    assert result.shares["fkv"] == result.shares["vep"] == 0.25
-    assert result.dominant == "fkv"
-
-
-def test_set_identification_empty_text():
-    ms = disjoint_model_set()
-    result = identify_set("", ms)
-    assert result.shares == {} and result.dominant is None
-
-
-def test_set_identification_min_share_validation():
-    ms = disjoint_model_set()
-    with pytest.raises(ValueError):
-        identify_set("abba", ms, min_share=0.0)
-    with pytest.raises(ValueError):
-        identify_set("abba", ms, min_share=1.5)
 
 
 # --- oracle equivalence and batch behavior -----------------------------------
@@ -458,7 +434,12 @@ def test_chunk_sums_are_bit_exact_running_sums(seed, data):
         for scores, _ in scorer.score_words(words, rows):
             acc += scores
         raw = acc / len(words) if words else np.full(rows.shape[0], scorer.penalty)
-        expected = apply_cjk_sanity(dict(zip(codes, raw.tolist())), sentence, registry)
+        expected = dict(zip(codes, raw.tolist()))
+        if cjk_ratio(sentence, registry.cjk_blocks) > 0.5:
+            expected = {
+                code: score if registry.is_cjk(code) else score + CJK_HIGH_PENALTY
+                for code, score in expected.items()
+            }
         assert list(prediction.scores.items()) == list(expected.items())
         assert prediction.winner == min(expected, key=expected.__getitem__)
 

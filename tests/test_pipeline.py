@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 
 from helpers import ALPHABETS, disjoint_model_set, disjoint_sentences, make_registry
+from uralid.corpus import Corpus
 from uralid.errors import DataError
 from uralid.features import tokenize
 from uralid.identifier import identify_restricted
+from uralid.models import HeliParams, train_models
 from uralid.pipeline import (
     LabeledLine,
     LabeledSentence,
@@ -81,6 +83,57 @@ def test_stage1_most_prominent_relevant_wins(models):
     text = "a" * 30 + "\n" + "p" * 20 + "\n" + "k" * 50
     kept = stage1_filter_pages([Page(url="a", text=text)], models)
     assert kept[0].page_language == "fkv"
+
+
+def test_stage1_boundary_share_is_inclusive(models):
+    # 98 chars won by fin (non-relevant), 2 by vep: share 0.02 reaches the
+    # threshold ("at least"), so vep is the page language
+    fin_line = "uvwxy " * 16 + "uv"
+    assert len(fin_line) == 98
+    kept = stage1_filter_pages([Page(url="a", text=fin_line + "\npq")], models)
+    assert [page.page_language for page in kept] == ["vep"]
+
+
+def test_stage1_share_tie_goes_to_registry_order(models):
+    # fkv and vep win 10 chars each, swe 20
+    text = "abcd eabcd\npqrs tpqrs\nklmn oklmnoklmn klmn"
+    kept = stage1_filter_pages([Page(url="a", text=text)], models)
+    assert [page.page_language for page in kept] == ["fkv"]
+
+
+def test_stage1_drops_empty_and_whitespace_pages(models):
+    pages = [Page(url="a", text=""), Page(url="b", text="  \n\t\n\n")]
+    assert stage1_filter_pages(pages, models) == []
+
+
+@pytest.mark.parametrize("pages", [[], [Page(url="a", text="abba")]], ids=["empty", "one-page"])
+@pytest.mark.parametrize("min_share", [0.0, 1.5])
+def test_stage1_checks_min_share_with_or_without_pages(models, pages, min_share):
+    with pytest.raises(ValueError, match=r"min_share must be in \(0, 1\]"):
+        stage1_filter_pages(pages, models, min_share=min_share)
+
+
+def test_stage1_over_a_crawl_equals_stage1_page_by_page():
+    # one batch over every page's lines must split back at the right page offsets
+    registry = make_registry(codes=[*ALPHABETS, "cmn"], cjk={"cmn"})
+    corpora = [
+        Corpus(language=code, sentences=tuple(disjoint_sentences(code, 10)))
+        for code in ALPHABETS
+    ]
+    corpora.append(Corpus(language="cmn", sentences=("日本語 中文", "漢字 日本", "中文 漢字")))
+    cjk_models = train_models(corpora, HeliParams(n_max=3), registry)
+    rng = random.Random(11)
+    pool = [s for code in ALPHABETS for s in disjoint_sentences(code, 4, seed=1)]
+    pool += ["日本語 中文 漢字", "ab 日本語中文", "", "   ", "\t"]
+    texts = ["", "  \n \t\n", "日本語\n中文 漢字\nab"]
+    texts += ["\n".join(rng.choice(pool) for _ in range(rng.randint(1, 6))) for _ in range(30)]
+    texts += texts[3:8]  # duplicate texts under other urls
+    pages = [Page(url=f"p{i}", text=text) for i, text in enumerate(texts)]
+    rng.shuffle(pages)
+    expected = [kept for page in pages for kept in stage1_filter_pages([page], cjk_models)]
+    assert 0 < len(expected) < len(pages)
+    assert len({page.page_language for page in expected}) == 3
+    assert stage1_filter_pages(pages, cjk_models) == expected
 
 
 # --- stage 2 ------------------------------------------------------------------
