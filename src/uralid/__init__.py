@@ -6,7 +6,7 @@ the three shared-task metrics, and clean web crawls into labeled sentence
 collections.
 """
 
-from .corpus import Corpus, load_corpus, save_corpus, sniff_format, split_train_dev
+from .corpus import Corpus, load_corpus, sniff_format
 from .errors import DataError
 from .evaluation import (
     ConfusionMatrix,
@@ -25,7 +25,6 @@ from .identifier import (
     cjk_ratio,
     identify,
     identify_batch,
-    identify_restricted,
     score_word,
 )
 from .models import HeliParams, LanguageModel, ModelSet, load_models, save_models, train_models
@@ -65,19 +64,16 @@ __all__ = [
     "extract_ngrams",
     "identify",
     "identify_batch",
-    "identify_restricted",
     "load_corpus",
     "load_models",
     "load_registry",
     "pad_word",
     "prf",
     "run_pipeline",
-    "save_corpus",
     "save_models",
     "save_registry",
     "score_word",
     "sniff_format",
-    "split_train_dev",
     "tokenize",
     "track1",
     "track2",

@@ -138,12 +138,12 @@ def _read_stdin() -> str:
 def cmd_identify(args) -> int:
     model_set = load_models(args.models)
     candidates = args.candidates.split(",") if args.candidates is not None else None
-    unscorable = [code for code in candidates or () if code not in model_set.models]
-    if unscorable:
-        raise UsageError(
-            f"uralid: error: --candidates: no model for {', '.join(map(repr, unscorable))}"
-        )
-    model_set.scorer()  # built before the clock starts
+    try:
+        model_set.scorer().candidate_rows(candidates)  # also builds the scorer before the clock starts
+    except ValueError as exc:
+        if candidates is None:
+            raise
+        raise UsageError(f"uralid: error: --candidates: {exc}") from None
     sentences = split_records(read_utf8(args.input) if args.input else _read_stdin())
 
     started = time.perf_counter()

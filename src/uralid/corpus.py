@@ -1,4 +1,4 @@
-"""Sentence corpora: loading line-oriented files and train/dev splitting.
+"""Sentence corpora: loading line-oriented files.
 
 Two file formats are supported:
 
@@ -13,7 +13,6 @@ features). Files must be UTF-8; records end at LF, CRLF or CR
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,9 +35,6 @@ class Corpus:
                 raise DataError(
                     f"{self.source_path}: sentence contains a line break: {s!r}"
                 )
-
-    def __len__(self) -> int:
-        return len(self.sentences)
 
 
 def load_corpus(path, language: str, format: str = "plain") -> Corpus:
@@ -79,28 +75,3 @@ def sniff_format(path) -> str:
             head = line.split("\t", 1)[0]
             return "indexed" if "\t" in line and head.strip().isdigit() else "plain"
     return "plain"
-
-
-def save_corpus(corpus: Corpus, path) -> None:
-    Path(path).write_text(
-        "".join(s + "\n" for s in corpus.sentences), encoding="utf-8"
-    )
-
-
-def split_train_dev(corpus: Corpus, dev_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
-    """Deterministic shuffle-and-split into (train, dev).
-
-    The dev set receives round-half-up of ``n * dev_fraction`` sentences;
-    the outputs partition the input.
-    """
-    if not 0.0 <= dev_fraction <= 1.0:
-        raise ValueError(f"dev_fraction must be in [0, 1], got {dev_fraction}")
-    sentences = list(corpus.sentences)
-    random.Random(seed).shuffle(sentences)
-    n_dev = int(len(sentences) * dev_fraction + 0.5)
-    dev = sentences[:n_dev]
-    train = sentences[n_dev:]
-    return (
-        Corpus(corpus.language, tuple(train), corpus.source_path),
-        Corpus(corpus.language, tuple(dev), corpus.source_path),
-    )

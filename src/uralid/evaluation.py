@@ -133,25 +133,6 @@ def write_confusion(cm: ConfusionMatrix, path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def read_confusion(path, registry: LanguageRegistry) -> ConfusionMatrix:
-    path = Path(path)
-    lines = split_records(read_utf8(path))
-    if not lines:
-        raise DataError(f"{path}: empty confusion file")
-    header = lines[0].split("\t")[1:]
-    n = len(registry)
-    counts = np.zeros((n, n), dtype=np.int64)
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        gold = fields[0]
-        if len(fields) != len(header) + 1:
-            raise DataError(f"{path}:{lineno}: column count mismatch")
-        for pred, cell in zip(header, fields[1:]):
-            if cell:
-                counts[registry.index(gold), registry.index(pred)] = int(cell)
-    return ConfusionMatrix(registry=registry, counts=counts)
-
-
 def report(cm: ConfusionMatrix, scores: TrackScores, out_dir) -> None:
     """Write the confusion matrix, per-language P/R/F1 and track scores."""
     out_dir = Path(out_dir)

@@ -38,13 +38,6 @@ def extract_ngrams(word: str, n: int) -> list[str]:
     return [padded[i : i + n] for i in range(len(padded) - n + 1)]
 
 
-def ngram_domains(n_max: int) -> list[str]:
-    """Domain keys for n-gram lengths 1..n_max ("1", "2", ...)."""
-    return [str(n) for n in range(1, n_max + 1)]
-
-
 def all_domains(n_max: int, use_words: bool) -> list[str]:
-    domains = ngram_domains(n_max)
-    if use_words:
-        domains.append(WORD_DOMAIN)
-    return domains
+    """Domain keys for n-gram lengths 1..n_max ("1", "2", ...), then the word domain if used."""
+    return [str(n) for n in range(1, n_max + 1)] + ([WORD_DOMAIN] if use_words else [])

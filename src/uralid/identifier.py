@@ -20,10 +20,10 @@ one kernel call per feature domain for every word still unresolved there
 the batch. ``Scorer.predict`` turns a chunk of sentences into predictions
 from one such batch, applying the CJK rule and picking winners over the
 chunk's score rows at once, and ``identify_batch`` calls it per chunk:
-every other identify function and pipeline stages 1 and 3 go through it.
-Stage 1 is one ``identify_batch`` call over the lines of the whole crawl.
-Pipeline stage 5 takes per-word winners from ``Scorer.word_winners``, a
-chunk at a time.
+``identify`` and pipeline stages 1 and 3 go through it. Pipeline stage 5
+takes per-word winners from ``Scorer.word_winners``, a chunk at a time.
+Every entry point takes its candidates through ``Scorer.candidate_rows``,
+which accepts only codes that have a model.
 """
 
 from __future__ import annotations
@@ -132,18 +132,23 @@ class Scorer:
             self._rows[domain] = rows[order]
             self._scores[domain] = np.array(values, dtype=np.float64)[order]
 
-        self._backoff = ([WORD_DOMAIN] if self.params.use_words else []) + [
-            str(n) for n in range(self.params.n_max, 0, -1)
-        ]
+        self._backoff = self.params.domains()[::-1]
 
     def candidate_rows(self, candidates=None) -> tuple[np.ndarray, list[str]]:
         """Validate candidates and map them to registry-ordered matrix rows.
 
-        ``None`` selects every language that has a model.
+        This is the one candidate rule. ``None`` selects every language that
+        has a model; any other iterable is read once, and every code in it
+        must have a model, or ``ValueError`` names those without one in the
+        order given.
         """
         if candidates is None:
             codes = [c for c in self.registry.codes() if c in self._modeled]
         else:
+            candidates = list(candidates)
+            unscorable = [code for code in candidates if code not in self._modeled]
+            if unscorable:
+                raise ValueError(f"no model for {', '.join(map(repr, unscorable))}")
             codes = self.registry.sort_by_order(candidates)
         if not codes:
             raise ValueError("no candidate languages")
@@ -292,26 +297,6 @@ def score_word(
 def identify(sentence: str, model_set: ModelSet, candidates=None) -> Prediction:
     """Identify the language of one sentence among the candidates."""
     return identify_batch([sentence], model_set, candidates)[0]
-
-
-def restricted_candidates(registry: LanguageRegistry, allowed_relevant) -> list[str]:
-    """The allowed relevant languages plus every non-relevant one, in registry order."""
-    return registry.sort_by_order(set(allowed_relevant) | set(registry.non_relevant_codes()))
-
-
-def identify_restricted(
-    sentence: str, model_set: ModelSet, allowed_relevant
-) -> Prediction:
-    """Identify among the given relevant languages plus all non-relevant ones."""
-    registry = model_set.registry
-    allowed = set(allowed_relevant)
-    for code in allowed:
-        if not registry.is_relevant(code):
-            raise ValueError(f"{code!r} is not a relevant language")
-    candidates = restricted_candidates(registry, allowed)
-    if not candidates:
-        raise ValueError("empty candidate union")
-    return identify(sentence, model_set, candidates)
 
 
 def identify_batch(

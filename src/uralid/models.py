@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import DataError, read_utf8, split_records
-from .features import WORD_DOMAIN, all_domains, extract_ngrams, ngram_domains, pad_word, tokenize
+from .features import WORD_DOMAIN, all_domains, extract_ngrams, pad_word, tokenize
 from .registry import LanguageEntry, LanguageRegistry, parse_registry
 
 # Absolute slack for score range checks: covers the rounding step of the

@@ -3,16 +3,17 @@
 The five stages:
 
 1. keep pages with at least ``min_share`` of their text in some relevant
-   language; the most prominent one becomes the page language. Every
-   non-blank line of every page is identified in one ``identify_batch``
-   call over the crawl, and the characters each language wins are then
-   counted page by page
+   language; the most prominent one becomes the page language. The
+   non-blank lines of all pages are identified ``identifier._CHUNK_SIZE``
+   at a time, keeping only each line's winner, and the characters each
+   language wins are then counted page by page
 2. split pages into lines and deduplicate; a line seen on pages with
    different languages keeps the union as its known languages
-3. re-identify each line restricted to its known languages plus all
-   non-relevant ones; keep lines where a relevant language still wins,
-   labeled with that language. Lines that share known languages are
-   identified together, in one ``identify_batch`` call per set
+3. re-identify each line restricted to its known languages plus the
+   non-relevant ones that have a model; keep lines where a relevant
+   language still wins, labeled with that language. Lines that share
+   known languages are identified together, in one ``identify_batch``
+   call per set
 4. split lines into sentences, then deduplicate sentences the same way
 5. label each sentence with the language that wins an absolute majority
    of its words under the same restriction; drop the rest. Sentences that
@@ -32,7 +33,8 @@ from itertools import chain
 from pathlib import Path
 
 from .errors import DataError, read_utf8, split_records
-from .identifier import identify_batch, restricted_candidates
+from . import identifier
+from .identifier import identify_batch
 from .models import ModelSet
 
 SENTENCE_TERMINATORS = re.compile(r"[.!?…]+(?=\s|$)")
@@ -118,12 +120,18 @@ def stage1_filter_pages(
     registry = model_set.registry
     pages = list(pages)
     lines = [page_lines(page) for page in pages]
-    predictions = iter(identify_batch(chain.from_iterable(lines), model_set))
+    flat = list(chain.from_iterable(lines))
+    size = identifier._CHUNK_SIZE
+    winners = (
+        prediction.winner
+        for start in range(0, len(flat), size)
+        for prediction in identify_batch(flat[start : start + size], model_set)
+    )
     kept = []
     for page, texts in zip(pages, lines):
         chars_won: Counter[str] = Counter()
         for text in texts:
-            chars_won[next(predictions).winner] += len(text)
+            chars_won[next(winners)] += len(text)
         total = sum(chars_won.values())
         shares = {
             code: chars_won[code] / total
@@ -159,7 +167,14 @@ def stage2_dedup_lines(pages) -> list[LabeledLine]:
     return _union_dedup(lines())
 
 
-def _candidate_groups(items, registry) -> list[tuple[list[str], list[int]]]:
+def restricted_candidates(model_set: ModelSet, allowed_relevant) -> list[str]:
+    """The allowed relevant languages plus every modeled non-relevant one, in registry order."""
+    registry = model_set.registry
+    non_relevant = [code for code in registry.non_relevant_codes() if code in model_set.models]
+    return registry.sort_by_order(set(allowed_relevant) | set(non_relevant))
+
+
+def _candidate_groups(items, model_set: ModelSet) -> list[tuple[list[str], list[int]]]:
     """Restricted candidates and item indices per known-language set.
 
     Sets come in first-occurrence order; a caller puts results back by index.
@@ -167,7 +182,7 @@ def _candidate_groups(items, registry) -> list[tuple[list[str], list[int]]]:
     groups: dict[frozenset[str], list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(item.known_languages, []).append(i)
-    return [(restricted_candidates(registry, langs), ids) for langs, ids in groups.items()]
+    return [(restricted_candidates(model_set, langs), ids) for langs, ids in groups.items()]
 
 
 def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
@@ -180,7 +195,7 @@ def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
     registry = model_set.registry
     lines = list(lines)
     winners: list[str] = [""] * len(lines)
-    for candidates, indices in _candidate_groups(lines, registry):
+    for candidates, indices in _candidate_groups(lines, model_set):
         predictions = identify_batch([lines[i].text for i in indices], model_set, candidates)
         for i, prediction in zip(indices, predictions):
             winners[i] = prediction.winner
@@ -226,7 +241,7 @@ def stage5_label_sentences(sentences, model_set: ModelSet) -> list[LabeledSenten
     scorer = model_set.scorer()
     sentences = list(sentences)
     majorities: list[str | None] = [None] * len(sentences)
-    for candidates, indices in _candidate_groups(sentences, registry):
+    for candidates, indices in _candidate_groups(sentences, model_set):
         rows, codes = scorer.candidate_rows(candidates)
         texts = [sentences[i].text for i in indices]
         for i, winners in zip(indices, scorer.word_winners(texts, rows, codes)):

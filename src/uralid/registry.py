@@ -69,9 +69,6 @@ class LanguageRegistry:
     def __contains__(self, code: str) -> bool:
         return code in self._index
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def codes(self) -> list[str]:
         return [e.code for e in self.entries]
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uralid.corpus import Corpus, load_corpus, save_corpus, sniff_format, split_train_dev
+from uralid.corpus import Corpus, load_corpus, sniff_format
 from uralid.errors import DataError
 
 
@@ -66,49 +66,9 @@ def test_corpus_rejects_embedded_line_breaks():
         Corpus(language="vep", sentences=("one\ntwo",))
 
 
-def test_save_load_round_trip(tmp_path):
-    corpus = Corpus(language="vep", sentences=("üks", "kaks", "kolm"))
-    path = tmp_path / "c.txt"
-    save_corpus(corpus, path)
-    assert load_corpus(path, "vep").sentences == corpus.sentences
-
-
 def test_sniff_format(tmp_path):
     assert sniff_format(write(tmp_path, "a.tsv", "12\tsentence here\n")) == "indexed"
     assert sniff_format(write(tmp_path, "b.txt", "just words\n")) == "plain"
     assert sniff_format(write(tmp_path, "c.txt", "word\tword\n")) == "plain"
     assert sniff_format(write(tmp_path, "d.txt", "")) == "plain"
 
-
-def test_split_sizes_round_half_up():
-    corpus = Corpus(language="vep", sentences=tuple(f"s{i}" for i in range(5)))
-    train, dev = split_train_dev(corpus, 0.5, seed=1)
-    assert len(dev) == 3  # 2.5 rounds up
-    assert len(train) == 2
-
-
-def test_split_is_deterministic_and_partitions():
-    corpus = Corpus(language="vep", sentences=tuple(f"s{i}" for i in range(40)))
-    train1, dev1 = split_train_dev(corpus, 0.25, seed=7)
-    train2, dev2 = split_train_dev(corpus, 0.25, seed=7)
-    assert train1.sentences == train2.sentences and dev1.sentences == dev2.sentences
-    assert sorted(train1.sentences + dev1.sentences) == sorted(corpus.sentences)
-
-
-def test_split_seed_changes_selection():
-    corpus = Corpus(language="vep", sentences=tuple(f"s{i}" for i in range(40)))
-    _, dev_a = split_train_dev(corpus, 0.25, seed=1)
-    _, dev_b = split_train_dev(corpus, 0.25, seed=2)
-    assert dev_a.sentences != dev_b.sentences
-
-
-@given(
-    n=st.integers(min_value=0, max_value=60),
-    fraction=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_split_size_formula(n, fraction, seed):
-    corpus = Corpus(language="vep", sentences=tuple(f"s{i}" for i in range(n)))
-    train, dev = split_train_dev(corpus, fraction, seed)
-    assert len(dev) == int(n * fraction + 0.5)
-    assert len(train) + len(dev) == n

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import oracle_ngrams, oracle_tokenize
-from uralid.features import WORD_DOMAIN, all_domains, extract_ngrams, ngram_domains, pad_word, tokenize
+from uralid.features import WORD_DOMAIN, all_domains, extract_ngrams, pad_word, tokenize
 
 words = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Lo")),
@@ -53,7 +53,6 @@ def test_tokenize_empty_and_symbol_only():
 def test_domain_names():
     assert all_domains(3, True) == ["1", "2", "3", WORD_DOMAIN]
     assert all_domains(2, False) == ["1", "2"]
-    assert ngram_domains(2) == ["1", "2"]
 
 
 @given(word=words, n=st.integers(min_value=1, max_value=8))

@@ -29,10 +29,10 @@ from uralid.identifier import (
     cjk_ratio,
     identify,
     identify_batch,
-    identify_restricted,
     score_word,
 )
 from uralid.models import HeliParams, LanguageModel, ModelSet, train_models
+from uralid.pipeline import restricted_candidates
 
 
 def hand_model_set(tables: dict[str, dict[str, dict[str, float]]], n_max=2, use_words=True):
@@ -260,26 +260,52 @@ def test_sanity_shifts_only_the_tripped_rows_of_a_chunk():
     assert before.tolist() == (np.arange(15, dtype=np.float64).reshape(5, 3) / 4).tolist()
 
 
-# --- restricted identification -----------------------------------------------
+# --- candidates ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "candidates, named",
+    [(["fkv", "izh"], "'fkv'"), (["fin", "izh", "fkv"], "'fin', 'fkv'")],
+    ids=["one", "in-given-order"],
+)
+@pytest.mark.parametrize("entry", ["identify", "identify_batch"])
+def test_candidate_without_a_model_is_rejected(entry, candidates, named):
+    # fkv and fin are registered but have no model here
+    ms = disjoint_model_set(codes=("izh", "swe"))
+    with pytest.raises(ValueError, match=f"^no model for {named}$"):
+        if entry == "identify":
+            identify("123", ms, candidates=candidates)
+        else:
+            identify_batch(["123", "fghij"], ms, candidates=candidates)
+
+
+def test_candidate_generator_equals_list():
+    ms = disjoint_model_set(codes=("fkv", "izh", "vep", "swe", "fin"))
+    sentences = ["abba", "fifi klon", "pqrs tuvw", "123"]
+    as_list = identify_batch(sentences, ms, candidates=["vep", "fkv", "swe"])
+    assert identify_batch(sentences, ms, candidates=(c for c in ["vep", "fkv", "swe"])) == as_list
+    assert identify("fifi klon", ms, iter(["vep", "fkv", "swe"])) == as_list[1]
 
 
 def test_restricted_candidates_are_allowed_plus_non_relevant():
     ms = disjoint_model_set(codes=("fkv", "izh", "vep", "swe", "fin"))
-    prediction = identify_restricted("abba", ms, {"fkv"})
+    candidates = restricted_candidates(ms, {"fkv"})
+    assert candidates == ["fkv", "swe", "fin"]
+    prediction = identify("abba", ms, candidates)
     assert set(prediction.scores) == {"fkv", "swe", "fin"}
     assert prediction.winner == "fkv"
 
 
 def test_restricted_with_empty_allowed_uses_non_relevant_only():
     ms = disjoint_model_set(codes=("fkv", "swe", "fin"))
-    prediction = identify_restricted("klon", ms, set())
-    assert set(prediction.scores) == {"swe", "fin"}
+    candidates = restricted_candidates(ms, set())
+    assert candidates == ["swe", "fin"]
+    assert set(identify("klon", ms, candidates).scores) == {"swe", "fin"}
 
 
-def test_restricted_rejects_non_relevant_codes():
-    ms = disjoint_model_set()
-    with pytest.raises(ValueError):
-        identify_restricted("abba", ms, {"swe"})
+def test_restricted_candidates_add_only_modeled_non_relevant():
+    # fin is registered non-relevant but has no model
+    assert restricted_candidates(disjoint_model_set(), {"fkv"}) == ["fkv", "swe"]
 
 
 def test_restriction_monotone_when_domains_agree():

@@ -5,10 +5,11 @@ from collections import Counter
 import pytest
 
 from helpers import ALPHABETS, disjoint_model_set, disjoint_sentences, make_registry
+from uralid import identifier, pipeline
 from uralid.corpus import Corpus
 from uralid.errors import DataError
 from uralid.features import tokenize
-from uralid.identifier import identify_restricted
+from uralid.identifier import identify, identify_batch
 from uralid.models import HeliParams, train_models
 from uralid.pipeline import (
     LabeledLine,
@@ -18,6 +19,8 @@ from uralid.pipeline import (
     PipelineReport,
     format_report,
     load_pages,
+    page_lines,
+    restricted_candidates,
     run_pipeline,
     split_sentences,
     stage1_filter_pages,
@@ -113,8 +116,8 @@ def test_stage1_checks_min_share_with_or_without_pages(models, pages, min_share)
         stage1_filter_pages(pages, models, min_share=min_share)
 
 
-def test_stage1_over_a_crawl_equals_stage1_page_by_page():
-    # one batch over every page's lines must split back at the right page offsets
+def shuffled_crawl():
+    """Pages of mixed, CJK-heavy, empty and duplicate text, and models that know cmn."""
     registry = make_registry(codes=[*ALPHABETS, "cmn"], cjk={"cmn"})
     corpora = [
         Corpus(language=code, sentences=tuple(disjoint_sentences(code, 10)))
@@ -130,10 +133,33 @@ def test_stage1_over_a_crawl_equals_stage1_page_by_page():
     texts += texts[3:8]  # duplicate texts under other urls
     pages = [Page(url=f"p{i}", text=text) for i, text in enumerate(texts)]
     rng.shuffle(pages)
+    return pages, cjk_models
+
+
+def test_stage1_over_a_crawl_equals_stage1_page_by_page():
+    # chunks over every page's lines must split back at the right page offsets
+    pages, cjk_models = shuffled_crawl()
     expected = [kept for page in pages for kept in stage1_filter_pages([page], cjk_models)]
     assert 0 < len(expected) < len(pages)
     assert len({page.page_language for page in expected}) == 3
     assert stage1_filter_pages(pages, cjk_models) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_stage1_keeps_the_same_pages_for_any_chunk_size(monkeypatch, chunk):
+    pages, cjk_models = shuffled_crawl()
+    expected = stage1_filter_pages(pages, cjk_models)
+    sizes = []
+
+    def counting_identify_batch(sentences, model_set, candidates=None):
+        sizes.append(len(sentences))
+        return identify_batch(sentences, model_set, candidates)
+
+    monkeypatch.setattr(identifier, "_CHUNK_SIZE", chunk)
+    monkeypatch.setattr(pipeline, "identify_batch", counting_identify_batch)
+    assert stage1_filter_pages(pages, cjk_models) == expected
+    assert sum(sizes) == sum(len(page_lines(page)) for page in pages) > 7
+    assert max(sizes) <= chunk
 
 
 # --- stage 2 ------------------------------------------------------------------
@@ -220,7 +246,8 @@ def test_stage3_equals_per_line_restricted_identification(models):
     random.Random(3).shuffle(lines)
     expected = []
     for line in lines:
-        winner = identify_restricted(line.text, models, line.known_languages).winner
+        candidates = restricted_candidates(models, line.known_languages)
+        winner = identify(line.text, models, candidates).winner
         if models.registry.is_relevant(winner):
             expected.append(LabeledLine(line.text, frozenset({winner})))
     assert {lang for line in expected for lang in line.known_languages} == {"fkv", "izh", "vep"}
@@ -313,10 +340,8 @@ def test_stage5_equals_per_sentence_word_majority(models):
     expected = []
     for sentence in sentences:
         # a one-word sentence's winner is the word's winner
-        winners = [
-            identify_restricted(word, models, sentence.known_languages).winner
-            for word in tokenize(sentence.text)
-        ]
+        candidates = restricted_candidates(models, sentence.known_languages)
+        winners = [identify(word, models, candidates).winner for word in tokenize(sentence.text)]
         top, count = Counter(winners).most_common(1)[0]
         if 2 * count > len(winners) and models.registry.is_relevant(top):
             expected.append(LabeledSentence(sentence.text, top))
