@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
 from .corpus import load_corpus, sniff_format
 from .errors import DataError, decode_utf8, read_utf8, split_records
 from .evaluation import compute_track_scores, confusion, format_track_scores, load_labels, report
-from .identifier import format_prediction, identify_batch, main_throughput_note
+from .identifier import format_prediction
 from .models import HeliParams, load_models, save_models, train_models
 from .pipeline import (
     DEFAULT_MIN_SHARE,
@@ -138,28 +139,24 @@ def _read_stdin() -> str:
 def cmd_identify(args) -> int:
     model_set = load_models(args.models)
     candidates = args.candidates.split(",") if args.candidates is not None else None
+    scorer = model_set.scorer()  # built before the clock starts
     try:
-        model_set.scorer().candidate_rows(candidates)  # also builds the scorer before the clock starts
+        rows, codes = scorer.candidate_rows(candidates)
     except ValueError as exc:
         if candidates is None:
             raise
         raise UsageError(f"uralid: error: --candidates: {exc}") from None
     sentences = split_records(read_utf8(args.input) if args.input else _read_stdin())
 
+    # --out opens only once the input is read, so it may name the input file
     started = time.perf_counter()
-    predictions = identify_batch(sentences, model_set, candidates=candidates)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        for index, prediction in enumerate(scorer.predictions(sentences, rows, codes)):
+            out.write(format_prediction(index, prediction, args.scores) + "\n")
     elapsed = time.perf_counter() - started
-
-    rows = [
-        format_prediction(index, prediction, args.scores)
-        for index, prediction in enumerate(predictions)
-    ]
-    payload = "".join(row + "\n" for row in rows)
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
-    main_throughput_note(len(sentences), elapsed)
+    rate = len(sentences) / elapsed if elapsed > 0 else float("inf")
+    print(f"identified {len(sentences)} sentences in {elapsed:.3f}s ({rate:.0f} sentences/s)",
+          file=sys.stderr)
     return 0
 
 

@@ -19,16 +19,16 @@ one kernel call per feature domain for every word still unresolved there
 (see ``backend`` for the kernel contract). A word's scores do not depend on
 the batch. ``Scorer.predict`` turns a chunk of sentences into predictions
 from one such batch, applying the CJK rule and picking winners over the
-chunk's score rows at once, and ``identify_batch`` calls it per chunk:
-``identify`` and pipeline stages 1 and 3 go through it. Pipeline stage 5
-takes per-word winners from ``Scorer.word_winners``, a chunk at a time.
-Every entry point takes its candidates through ``Scorer.candidate_rows``,
-which accepts only codes that have a model.
+chunk's score rows at once. ``Scorer.predictions`` streams them, one
+``predict`` call per chunk of ``_CHUNK_SIZE``, and ``Scorer.word_winners``
+streams per-word winners over the same chunks, so a caller holds one
+chunk's results at a time. Every entry point takes its candidates through
+``Scorer.candidate_rows``, which accepts only codes that have a model.
 """
 
 from __future__ import annotations
 
-import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -58,6 +58,12 @@ class Prediction:
     winner: str
     scores: dict[str, float]
     domain_trace: tuple[tuple[str, str | None], ...]
+
+
+def _chunks(items: list) -> Iterator[list]:
+    """Consecutive slices of ``_CHUNK_SIZE`` items, the size read at call time."""
+    size = _CHUNK_SIZE
+    return (items[start : start + size] for start in range(0, len(items), size))
 
 
 def cjk_ratio(text: str, blocks=DEFAULT_CJK_BLOCKS) -> float:
@@ -258,16 +264,17 @@ class Scorer:
         means = sums / np.maximum(counts, 1)[:, None]
         return np.where(counts[:, None] > 0, means, self.penalty), traces
 
-    def word_winners(self, texts: list[str], rows: np.ndarray, codes: list[str]) -> list[list[str]]:
+    def word_winners(
+        self, texts: list[str], rows: np.ndarray, codes: list[str]
+    ) -> Iterator[list[str]]:
         """Each text's per-word winners (first minimum in ``codes`` order), a chunk at a time."""
-        winners = []
-        for start in range(0, len(texts), _CHUNK_SIZE):
-            tokens = [tokenize(text) for text in texts[start : start + _CHUNK_SIZE]]
+        for chunk in _chunks(texts):
+            tokens = [tokenize(text) for text in chunk]
             entries = self.score_words(list(chain.from_iterable(tokens)), rows)
             table = np.array([scores for scores, _ in entries]).reshape(len(entries), rows.shape[0])
             best = iter(table.argmin(axis=1).tolist())
-            winners += [[codes[next(best)] for _ in words] for words in tokens]
-        return winners
+            for words in tokens:
+                yield [codes[next(best)] for _ in words]
 
     def predict(self, sentences: list[str], rows: np.ndarray, codes: list[str]) -> list[Prediction]:
         """Winner, per-candidate scores and domain trace of each sentence.
@@ -280,6 +287,13 @@ class Scorer:
             Prediction(winner=codes[best], scores=dict(zip(codes, row)), domain_trace=trace)
             for best, row, trace in zip(means.argmin(axis=1).tolist(), means.tolist(), traces)
         ]
+
+    def predictions(
+        self, sentences: list[str], rows: np.ndarray, codes: list[str]
+    ) -> Iterator[Prediction]:
+        """Each sentence's prediction, from one ``predict`` call per chunk."""
+        for chunk in _chunks(sentences):
+            yield from self.predict(chunk, rows, codes)
 
 
 def score_word(
@@ -302,20 +316,10 @@ def identify(sentence: str, model_set: ModelSet, candidates=None) -> Prediction:
 def identify_batch(
     sentences, model_set: ModelSet, candidates=None, threads: int = 1
 ) -> list[Prediction]:
-    """Identify many sentences in the calling thread, chunk by chunk.
-
-    Each chunk of ``_CHUNK_SIZE`` sentences is one ``Scorer.predict`` call.
-    Results are in input order and identical for any chunk size, as a
-    word's scores do not depend on its batch. ``threads`` is accepted and
-    ignored.
-    """
-    sentences = list(sentences)
+    """Identify many sentences in input order; ``threads`` is accepted and ignored."""
     scorer = model_set.scorer()
     rows, codes = scorer.candidate_rows(candidates)
-    predictions = []
-    for start in range(0, len(sentences), _CHUNK_SIZE):
-        predictions += scorer.predict(sentences[start : start + _CHUNK_SIZE], rows, codes)
-    return predictions
+    return list(scorer.predictions(list(sentences), rows, codes))
 
 
 def format_prediction(index: int, prediction: Prediction, with_scores: bool) -> str:
@@ -327,11 +331,3 @@ def format_prediction(index: int, prediction: Prediction, with_scores: bool) -> 
             fields.append(f"{score:.6f}")
     return "\t".join(fields)
 
-
-def main_throughput_note(count: int, seconds: float) -> None:
-    """Emit the sentences/second measurement on stderr (scale awareness, not a gate)."""
-    rate = count / seconds if seconds > 0 else float("inf")
-    print(
-        f"identified {count} sentences in {seconds:.3f}s ({rate:.0f} sentences/s)",
-        file=sys.stderr,
-    )

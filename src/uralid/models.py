@@ -219,6 +219,8 @@ def _parse_manifest(path: Path):
     if missing:
         raise DataError(f"{path}: manifest missing params: {sorted(missing)}")
     try:
+        if params_fields["use_words"] not in ("0", "1"):
+            raise ValueError(f"use_words must be 0 or 1, got {params_fields['use_words']!r}")
         params = HeliParams(
             n_max=int(params_fields["n_max"]),
             cutoff_c=float(params_fields["cutoff_c"]),

@@ -4,20 +4,19 @@ The five stages:
 
 1. keep pages with at least ``min_share`` of their text in some relevant
    language; the most prominent one becomes the page language. The
-   non-blank lines of all pages are identified ``identifier._CHUNK_SIZE``
-   at a time, keeping only each line's winner, and the characters each
-   language wins are then counted page by page
+   winners of all pages' non-blank lines stream from one
+   ``Scorer.predictions`` pass, which holds one chunk's predictions at a
+   time, and the characters each language wins are counted page by page
 2. split pages into lines and deduplicate; a line seen on pages with
    different languages keeps the union as its known languages
 3. re-identify each line restricted to its known languages plus the
    non-relevant ones that have a model; keep lines where a relevant
    language still wins, labeled with that language. Lines that share
-   known languages are identified together, in one ``identify_batch``
-   call per set
+   known languages go to one ``Scorer.predictions`` pass per set
 4. split lines into sentences, then deduplicate sentences the same way
 5. label each sentence with the language that wins an absolute majority
    of its words under the same restriction; drop the rest. Sentences that
-   share known languages go to one ``Scorer.word_winners`` call
+   share known languages go to one ``Scorer.word_winners`` pass
 
 Stages 1, 3 and 5 are independent per item; 2 and 4 merge in
 first-occurrence order, so the whole funnel is deterministic.
@@ -33,8 +32,6 @@ from itertools import chain
 from pathlib import Path
 
 from .errors import DataError, read_utf8, split_records
-from . import identifier
-from .identifier import identify_batch
 from .models import ModelSet
 
 SENTENCE_TERMINATORS = re.compile(r"[.!?…]+(?=\s|$)")
@@ -120,13 +117,7 @@ def stage1_filter_pages(
     registry = model_set.registry
     pages = list(pages)
     lines = [page_lines(page) for page in pages]
-    flat = list(chain.from_iterable(lines))
-    size = identifier._CHUNK_SIZE
-    winners = (
-        prediction.winner
-        for start in range(0, len(flat), size)
-        for prediction in identify_batch(flat[start : start + size], model_set)
-    )
+    winners = _winners(list(chain.from_iterable(lines)), model_set)
     kept = []
     for page, texts in zip(pages, lines):
         chars_won: Counter[str] = Counter()
@@ -143,6 +134,14 @@ def stage1_filter_pages(
             if shares[dominant] >= min_share:
                 kept.append(replace(page, page_language=dominant))
     return kept
+
+
+def _winners(texts: list[str], model_set: ModelSet, candidates=None):
+    """Each text's winner, a chunk at a time; nothing is scored before the first is read."""
+    scorer = model_set.scorer()
+    rows, codes = scorer.candidate_rows(candidates)
+    for prediction in scorer.predictions(texts, rows, codes):
+        yield prediction.winner
 
 
 def _union_dedup(items) -> list[LabeledLine]:
@@ -196,9 +195,9 @@ def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
     lines = list(lines)
     winners: list[str] = [""] * len(lines)
     for candidates, indices in _candidate_groups(lines, model_set):
-        predictions = identify_batch([lines[i].text for i in indices], model_set, candidates)
-        for i, prediction in zip(indices, predictions):
-            winners[i] = prediction.winner
+        texts = [lines[i].text for i in indices]
+        for i, winner in zip(indices, _winners(texts, model_set, candidates)):
+            winners[i] = winner
     return [
         LabeledLine(text=line.text, known_languages=frozenset({winner}))
         for line, winner in zip(lines, winners)

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from helpers import ALPHABETS, disjoint_sentences, make_registry
-from uralid import cli
+from uralid import cli, identifier
 from uralid.cli import main
 from uralid.models import load_models
 from uralid.registry import save_registry
@@ -106,6 +106,37 @@ def test_identify_writes_one_row_per_record(workspace, tmp_path):
     assert [row.split("\t")[:2] for row in rows] == [
         ["0", "fkv"], ["1", "izh"], ["2", "fkv"], ["3", "fkv"], ["4", "izh"]
     ]
+
+
+def test_identify_writes_each_chunk_before_scoring_the_next(workspace, tmp_path, monkeypatch):
+    src = tmp_path / "input.txt"
+    src.write_text("abba\nfigi\ndede\ngihi\nabba figi\n", encoding="utf-8")
+    stdout = io.StringIO()
+    rows_at_predict = []
+    predict = identifier.Scorer.predict
+
+    def recording_predict(self, sentences, rows, codes):
+        rows_at_predict.append(stdout.getvalue().count("\n"))
+        return predict(self, sentences, rows, codes)
+
+    monkeypatch.setattr("sys.stdout", stdout)
+    monkeypatch.setattr(identifier, "_CHUNK_SIZE", 2)
+    monkeypatch.setattr(identifier.Scorer, "predict", recording_predict)
+    assert main(["identify", "--models", str(workspace["models"]), "--input", str(src)]) == 0
+    assert rows_at_predict == [0, 2, 4]
+    assert stdout.getvalue().count("\n") == 5
+
+
+def test_identify_out_may_name_the_input_file(workspace, tmp_path):
+    src = tmp_path / "input.txt"
+    src.write_text("abba dede\nfigi gihi\n\nabba\n", encoding="utf-8")
+    separate = tmp_path / "out.tsv"
+    for out in (separate, src):
+        argv = ["identify", "--models", str(workspace["models"]), "--input", str(src),
+                "--out", str(out), "--scores"]
+        assert main(argv) == 0
+    assert src.read_text(encoding="utf-8") == separate.read_text(encoding="utf-8")
+    assert len(separate.read_text(encoding="utf-8").splitlines()) == 4
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,19 @@ def test_missing_model_file_raises(tmp_path):
         load_models(tmp_path / "m")
 
 
+@pytest.mark.parametrize("value", ["true", "2", ""])
+def test_manifest_use_words_must_be_0_or_1(tmp_path, value):
+    ms = train_models([corpus("fkv", "ab ab")], HeliParams(n_max=1), make_registry())
+    save_models(ms, tmp_path / "m")
+    manifest = tmp_path / "m" / "manifest.tsv"
+    text = manifest.read_text(encoding="utf-8")
+    assert "param\tuse_words\t1\n" in text
+    manifest.write_text(text.replace("use_words\t1", f"use_words\t{value}"), encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_models(tmp_path / "m")
+    assert str(info.value) == f"{manifest}: bad params: use_words must be 0 or 1, got {value!r}"
+
+
 def test_unsorted_model_file_raises(tmp_path):
     reg = make_registry()
     ms = train_models([corpus("fkv", "ba ab")], HeliParams(n_max=1), reg)

@@ -5,12 +5,12 @@ from collections import Counter
 import pytest
 
 from helpers import ALPHABETS, disjoint_model_set, disjoint_sentences, make_registry
-from uralid import identifier, pipeline
+from uralid import identifier
 from uralid.corpus import Corpus
 from uralid.errors import DataError
 from uralid.features import tokenize
-from uralid.identifier import identify, identify_batch
-from uralid.models import HeliParams, train_models
+from uralid.identifier import identify
+from uralid.models import HeliParams, ModelSet, train_models
 from uralid.pipeline import (
     LabeledLine,
     LabeledSentence,
@@ -150,13 +150,14 @@ def test_stage1_keeps_the_same_pages_for_any_chunk_size(monkeypatch, chunk):
     pages, cjk_models = shuffled_crawl()
     expected = stage1_filter_pages(pages, cjk_models)
     sizes = []
+    predict = identifier.Scorer.predict
 
-    def counting_identify_batch(sentences, model_set, candidates=None):
+    def counting_predict(self, sentences, rows, codes):
         sizes.append(len(sentences))
-        return identify_batch(sentences, model_set, candidates)
+        return predict(self, sentences, rows, codes)
 
     monkeypatch.setattr(identifier, "_CHUNK_SIZE", chunk)
-    monkeypatch.setattr(pipeline, "identify_batch", counting_identify_batch)
+    monkeypatch.setattr(identifier.Scorer, "predict", counting_predict)
     assert stage1_filter_pages(pages, cjk_models) == expected
     assert sum(sizes) == sum(len(page_lines(page)) for page in pages) > 7
     assert max(sizes) <= chunk
@@ -348,6 +349,23 @@ def test_stage5_equals_per_sentence_word_majority(models):
     assert {s.language for s in expected} == {"fkv", "izh", "vep"}
     assert len(expected) < len(sentences)
     assert stage5_label_sentences(sentences, models) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_stages_3_and_5_give_the_same_output_for_any_chunk_size(models, monkeypatch, chunk):
+    # two known-language sets, so each group spans several chunks of 7
+    known_sets = [frozenset({"fkv", "vep"}), frozenset({"fkv", "izh", "vep"})]
+    texts = [s for code in ALPHABETS for s in disjoint_sentences(code, 6, seed=4)]
+    texts += [f"{a} {b}" for a, b in zip(disjoint_sentences("fkv", 6, seed=5),
+                                          disjoint_sentences("vep", 6, seed=5))]
+    lines = [LabeledLine(text, known_sets[i % 2]) for i, text in enumerate(texts)]
+    random.Random(6).shuffle(lines)
+    expected = stage3_filter_lines(lines, models), stage5_label_sentences(lines, models)
+    assert expected[0] and expected[1] and len(lines) > 2 * 7
+
+    monkeypatch.setattr(identifier, "_CHUNK_SIZE", chunk)
+    fresh = ModelSet(models.params, models.models, models.registry)  # an empty word cache
+    assert (stage3_filter_lines(lines, fresh), stage5_label_sentences(lines, fresh)) == expected
 
 
 # --- run_pipeline -------------------------------------------------------------
