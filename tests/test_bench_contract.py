@@ -91,10 +91,6 @@ def _resolve(name):
     return _MISSING
 
 
-def _resolves(name):
-    return _resolve(name) is not _MISSING
-
-
 def _calls(tree):
     """(dotted name, positional count, keyword names) of each call on a ``uralid`` name."""
     aliases = _aliases(tree)
@@ -114,7 +110,7 @@ def test_every_name_the_benchmark_uses_resolves():
         for name in _names_used(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert len(used) >= 20
-    assert [f"{file}: {name}" for file, name in sorted(used) if not _resolves(name)] == []
+    assert [f"{file}: {name}" for file, name in sorted(used) if _resolve(name) is _MISSING] == []
 
 
 def test_every_call_the_benchmark_makes_binds():
