@@ -6,7 +6,7 @@ the three shared-task metrics, and clean web crawls into labeled sentence
 collections.
 """
 
-from .corpus import Corpus, load_corpus, sniff_format
+from .corpus import Corpus, load_corpus
 from .errors import DataError
 from .evaluation import (
     ConfusionMatrix,
@@ -32,7 +32,6 @@ from .pipeline import (
     LabeledLine,
     LabeledSentence,
     Page,
-    PipelineConfig,
     PipelineReport,
     run_pipeline,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "LanguageRegistry",
     "ModelSet",
     "Page",
-    "PipelineConfig",
     "PipelineReport",
     "Prediction",
     "TrackScores",
@@ -73,7 +71,6 @@ __all__ = [
     "save_models",
     "save_registry",
     "score_word",
-    "sniff_format",
     "tokenize",
     "track1",
     "track2",

@@ -12,14 +12,14 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .corpus import load_corpus, sniff_format
+from .corpus import load_corpus
 from .errors import DataError, decode_utf8, read_utf8, split_records
 from .evaluation import compute_track_scores, confusion, format_track_scores, load_labels, report
 from .identifier import format_prediction
 from .models import HeliParams, load_models, save_models, train_models
 from .pipeline import (
     DEFAULT_MIN_SHARE,
-    PipelineConfig,
+    check_min_share,
     format_report,
     load_pages,
     run_pipeline,
@@ -120,7 +120,7 @@ def cmd_train(args) -> int:
         if not file.is_file() or file.suffix not in {".txt", ".tsv"}:
             continue
         code = file.stem.split("_")[0].split(".")[0]
-        corpora.append(load_corpus(file, code, format=sniff_format(file)))
+        corpora.append(load_corpus(file, code))
     if not corpora:
         raise DataError(f"{corpora_dir}: no .txt or .tsv corpus files found")
     model_set = train_models(corpora, params, registry)
@@ -173,9 +173,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = PipelineConfig(min_share=args.min_share)  # checked before any file is read
+    check_min_share(args.min_share)  # before any file is read
     model_set = load_models(args.models)
-    sentences, funnel = run_pipeline(load_pages(args.pages), model_set, config)
+    sentences, funnel = run_pipeline(load_pages(args.pages), model_set, args.min_share)
     write_sentences(sentences, args.out)
     if args.report:
         write_report(funnel, args.report)

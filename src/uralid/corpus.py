@@ -1,14 +1,17 @@
 """Sentence corpora: loading line-oriented files.
 
-Two file formats are supported:
+A corpus file holds one of two formats, told apart by its first non-blank
+line:
 
-* ``plain``   -- one sentence per line;
 * ``indexed`` -- Leipzig-collection style ``number<TAB>sentence`` lines,
-  the leading number is stripped.
+  the leading number is stripped. A first line whose first field is an
+  integer, followed by a tab, makes the file indexed;
+* ``plain``   -- one sentence per line; every other file, an empty one
+  included.
 
 Blank lines are dropped in both formats (an empty sentence carries no
-features). Files must be UTF-8; records end at LF, CRLF or CR
-(``errors.split_records``).
+features). Files must be UTF-8 and are read once; records end at LF, CRLF
+or CR (``errors.split_records``).
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, read_utf8, split_records
-
-FORMATS = ("plain", "indexed")
 
 
 @dataclass(frozen=True)
@@ -37,20 +38,22 @@ class Corpus:
                 )
 
 
-def load_corpus(path, language: str, format: str = "plain") -> Corpus:
-    """Read a sentence-per-line corpus file.
+def load_corpus(path, language: str) -> Corpus:
+    """Read a corpus file in whichever format its first non-blank line shows.
 
-    ``indexed`` lines must contain a tab; the part before the first tab is
-    discarded. Order is preserved; blank lines are skipped.
+    Every line of an indexed file must contain a tab; the part before the
+    first tab is discarded. Order is preserved; blank lines are skipped.
     """
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     path = Path(path)
     sentences: list[str] = []
+    indexed = None  # decided by the first non-blank line
     for lineno, line in enumerate(split_records(read_utf8(path)), start=1):
         if not line.strip():
             continue
-        if format == "indexed":
+        if indexed is None:
+            head, tab, _ = line.partition("\t")
+            indexed = bool(tab) and head.strip().isdigit()
+        if indexed:
             if "\t" not in line:
                 raise DataError(f"{path}:{lineno}: indexed line without a tab")
             line = line.split("\t", 1)[1]
@@ -58,20 +61,3 @@ def load_corpus(path, language: str, format: str = "plain") -> Corpus:
                 continue
         sentences.append(line)
     return Corpus(language=language, sentences=tuple(sentences), source_path=str(path))
-
-
-def sniff_format(path) -> str:
-    """Guess a corpus file's format from its first non-blank line.
-
-    A leading integer field followed by a tab means ``indexed``; anything
-    else, including an empty file, is ``plain``.
-    """
-    path = Path(path)
-    with path.open("r", encoding="utf-8", errors="replace") as handle:
-        for raw in handle:
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            head = line.split("\t", 1)[0]
-            return "indexed" if "\t" in line and head.strip().isdigit() else "plain"
-    return "plain"

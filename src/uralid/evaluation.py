@@ -57,60 +57,54 @@ def confusion(golds, preds, registry: LanguageRegistry) -> ConfusionMatrix:
     return ConfusionMatrix(registry=registry, counts=counts)
 
 
-def _prf_fractions(cm: ConfusionMatrix, lang: str) -> tuple[Fraction, Fraction, Fraction]:
-    i = cm.registry.index(lang)
-    tp = int(cm.counts[i, i])
-    fp = int(cm.counts[:, i].sum()) - tp
-    fn = int(cm.counts[i, :].sum()) - tp
-    if tp + fn == 0:
-        recall = Fraction(1)
-        precision = Fraction(1) if fp == 0 else Fraction(0)
-    else:
-        recall = Fraction(tp, tp + fn)
-        precision = Fraction(1) if tp + fp == 0 else Fraction(tp, tp + fp)
-    return precision, recall, _f1(precision, recall)
+def _prf(tp: int, fp: int, fn: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact precision, recall and F1; an empty denominator makes P or R 1, and F1 0."""
+    precision = Fraction(1) if tp + fp == 0 else Fraction(tp, tp + fp)
+    recall = Fraction(1) if tp + fn == 0 else Fraction(tp, tp + fn)
+    f1 = Fraction(0) if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return precision, recall, f1
 
 
-def _f1(precision: Fraction, recall: Fraction) -> Fraction:
-    if precision + recall == 0:
-        return Fraction(0)
-    return 2 * precision * recall / (precision + recall)
+def _counts(cm: ConfusionMatrix, which) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """True positives, false positives and false negatives of the languages ``which`` selects."""
+    tp = np.diagonal(cm.counts)
+    return tp[which], (cm.counts.sum(axis=0) - tp)[which], (cm.counts.sum(axis=1) - tp)[which]
+
+
+def _relevant(cm: ConfusionMatrix) -> np.ndarray:
+    return np.array([e.relevant for e in cm.registry.entries], dtype=bool)
+
+
+def _macro_f1(cm: ConfusionMatrix, which) -> float:
+    f1s = [_prf(*map(int, counts))[2] for counts in zip(*_counts(cm, which))]
+    return float(sum(f1s, Fraction(0)) / len(f1s))
 
 
 def prf(cm: ConfusionMatrix, lang: str) -> tuple[float, float, float]:
     """Precision, recall, F1 for one language, zero-gold conventions applied."""
-    precision, recall, f1 = _prf_fractions(cm, lang)
+    precision, recall, f1 = _prf(*map(int, _counts(cm, cm.registry.index(lang))))
     return float(precision), float(recall), float(f1)
 
 
 def track1(cm: ConfusionMatrix) -> float:
     """Macro-F1 over the relevant languages."""
-    relevant = cm.registry.relevant_codes()
-    if not relevant:
+    relevant = _relevant(cm)
+    if not relevant.any():
         raise ValueError("registry has no relevant languages")
-    total = sum((_prf_fractions(cm, code)[2] for code in relevant), Fraction(0))
-    return float(total / len(relevant))
+    return _macro_f1(cm, relevant)
 
 
 def track2(cm: ConfusionMatrix) -> float:
     """Micro-F1 over sentences in, or predicted to be in, relevant languages."""
-    rel = np.array([e.relevant for e in cm.registry.entries], dtype=bool)
-    diag = np.diagonal(cm.counts)
-    tp = int(diag[rel].sum())
-    fp = int(cm.counts[:, rel].sum()) - tp
-    fn = int(cm.counts[rel, :].sum()) - tp
-    precision = Fraction(1) if tp + fp == 0 else Fraction(tp, tp + fp)
-    recall = Fraction(1) if tp + fn == 0 else Fraction(tp, tp + fn)
-    return float(_f1(precision, recall))
+    tp, fp, fn = (int(a.sum()) for a in _counts(cm, _relevant(cm)))
+    return float(_prf(tp, fp, fn)[2])
 
 
 def track3(cm: ConfusionMatrix) -> float:
     """Macro-F1 over every registered language."""
-    codes = cm.registry.codes()
-    if not codes:
+    if not len(cm.registry):
         raise ValueError("empty registry")
-    total = sum((_prf_fractions(cm, code)[2] for code in codes), Fraction(0))
-    return float(total / len(codes))
+    return _macro_f1(cm, slice(None))
 
 
 def compute_track_scores(cm: ConfusionMatrix) -> TrackScores:

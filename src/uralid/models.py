@@ -124,12 +124,14 @@ def train_models(
     beforehand. A language with an empty corpus gets empty maps and zero
     totals.
     """
-    seen: set[str] = set()
+    seen: dict[str, str] = {}
     for corpus in corpora:
-        registry.index(corpus.language)
-        if corpus.language in seen:
-            raise DataError(f"duplicate corpus for language {corpus.language!r}")
-        seen.add(corpus.language)
+        where, code = corpus.source_path, corpus.language
+        if code not in registry:
+            raise DataError(f"{where}: unregistered language code {code!r}")
+        if code in seen:
+            raise DataError(f"{where}: duplicate corpus for language {code!r}, also in {seen[code]}")
+        seen[code] = where
 
     domains = params.domains()
     models: dict[str, LanguageModel] = {}
@@ -157,6 +159,10 @@ def _format_param(value) -> str:
     return repr(value)
 
 
+def _model_path(code: str, domain: str) -> str:
+    return f"models/{code}.{domain}.tsv"
+
+
 def save_models(model_set: ModelSet, directory) -> None:
     """Write manifest.tsv plus one sorted TSV per language and domain."""
     directory = Path(directory)
@@ -178,7 +184,7 @@ def save_models(model_set: ModelSet, directory) -> None:
     for code in ordered_codes:
         model = model_set.models[code]
         for domain in params.domains():
-            rel_path = f"models/{code}.{domain}.tsv"
+            rel_path = _model_path(code, domain)
             manifest.append(f"model\t{code}\t{domain}\t{rel_path}\t{model.totals[domain]}")
             lines = [
                 f"{feature}\t{score:.10g}"
@@ -193,26 +199,28 @@ def save_models(model_set: ModelSet, directory) -> None:
 
 
 def _parse_manifest(path: Path):
+    """Params, registry and ``(line, code, domain, path, total)`` model rows."""
     params_fields: dict[str, str] = {}
     registry_lines: list[str] = []
-    model_rows: list[tuple[str, str, str, int]] = []
+    model_rows: list[tuple[int, str, str, str, int]] = []
     for lineno, raw in enumerate(split_records(read_utf8(path)), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
         fields = raw.split("\t")
         kind = fields[0]
+        registry_lines.append("")  # one per record, so registry errors name manifest lines
+        if not raw.strip() or raw.startswith("#"):
+            continue
         if kind == "param" and len(fields) == 3:
             params_fields[fields[1]] = fields[2]
         elif kind == "cjkblock" and len(fields) == 3:
-            registry_lines.append(f"#!cjk-block\t{fields[1]}\t{fields[2]}")
+            registry_lines[-1] = f"#!cjk-block\t{fields[1]}\t{fields[2]}"
         elif kind == "language" and len(fields) == 5:
-            registry_lines.append("\t".join(fields[1:]))
+            registry_lines[-1] = "\t".join(fields[1:])
         elif kind == "model" and len(fields) == 5:
             try:
                 total = int(fields[4])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad total count {fields[4]!r}") from None
-            model_rows.append((fields[1], fields[2], fields[3], total))
+            model_rows.append((lineno, fields[1], fields[2], fields[3], total))
         else:
             raise DataError(f"{path}:{lineno}: unrecognized manifest row {raw!r}")
     missing = {"n_max", "cutoff_c", "penalty_p", "use_words"} - set(params_fields)
@@ -230,6 +238,8 @@ def _parse_manifest(path: Path):
     except ValueError as exc:
         raise DataError(f"{path}: bad params: {exc}") from None
     registry = parse_registry("\n".join(registry_lines), source=path)
+    if not model_rows:
+        raise DataError(f"{path}: manifest lists no model rows")
     return params, registry, model_rows
 
 
@@ -269,13 +279,19 @@ def load_models(directory) -> ModelSet:
     domains_by_code: dict[str, dict[str, dict[str, float]]] = {}
     totals_by_code: dict[str, dict[str, int]] = {}
     expected = set(params.domains())
-    for code, domain, rel_path, total in model_rows:
-        registry.index(code)
+    for lineno, code, domain, rel_path, total in model_rows:
+        where = f"{manifest_path}:{lineno}"
+        if code not in registry:
+            raise DataError(f"{where}: unregistered language code {code!r}")
         if domain not in expected:
-            raise DataError(f"{manifest_path}: unknown domain {domain!r} for {code}")
+            raise DataError(f"{where}: unknown domain {domain!r} for {code}")
+        if rel_path != _model_path(code, domain):
+            raise DataError(f"{where}: model path must be {_model_path(code, domain)}, got {rel_path!r}")
+        if domain in domains_by_code.get(code, {}):
+            raise DataError(f"{where}: second model row for {code} {domain}")
         file_path = directory / rel_path
         if not file_path.is_file():
-            raise DataError(f"{manifest_path}: missing model file {rel_path}")
+            raise DataError(f"{where}: missing model file {rel_path}")
         domains_by_code.setdefault(code, {})[domain] = _load_model_file(
             file_path, params.max_score()
         )

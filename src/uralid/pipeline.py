@@ -27,7 +27,7 @@ from __future__ import annotations
 import base64
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -89,13 +89,10 @@ class PipelineReport:
                 raise ValueError(f"funnel not monotone: {smaller} > {larger}")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    min_share: float = DEFAULT_MIN_SHARE
-
-    def __post_init__(self):
-        if not 0.0 < self.min_share <= 1.0:
-            raise ValueError(f"min_share must be in (0, 1], got {self.min_share}")
+def check_min_share(min_share: float) -> None:
+    """Reject a ``min_share`` outside (0, 1]; stage 1 and the CLI call it before any work."""
+    if not 0.0 < min_share <= 1.0:
+        raise ValueError(f"min_share must be in (0, 1], got {min_share}")
 
 
 def page_lines(page: Page) -> list[str]:
@@ -113,7 +110,7 @@ def stage1_filter_pages(
     one with the greatest share, ties going to registry order, provided
     that share reaches ``min_share``.
     """
-    PipelineConfig(min_share=min_share)  # validates before any work
+    check_min_share(min_share)  # before any work
     registry = model_set.registry
     pages = list(pages)
     lines = [page_lines(page) for page in pages]
@@ -256,10 +253,9 @@ def stage5_label_sentences(sentences, model_set: ModelSet) -> list[LabeledSenten
 
 
 def run_pipeline(
-    pages, model_set: ModelSet, config: PipelineConfig | None = None
+    pages, model_set: ModelSet, min_share: float = DEFAULT_MIN_SHARE
 ) -> tuple[list[LabeledSentence], PipelineReport]:
     """Run all five stages and count the funnel at each step."""
-    config = config or PipelineConfig()
     pages = list(pages)
     seen_urls = set()
     for page in pages:
@@ -267,7 +263,7 @@ def run_pipeline(
             raise DataError(f"duplicate page url {page.url!r}")
         seen_urls.add(page.url)
 
-    retained = stage1_filter_pages(pages, model_set, min_share=config.min_share)
+    retained = stage1_filter_pages(pages, model_set, min_share)
     lines_total = sum(len(page_lines(page)) for page in retained)
     unique_lines = stage2_dedup_lines(retained)
     kept_lines = stage3_filter_lines(unique_lines, model_set)
@@ -325,14 +321,4 @@ def write_report(report: PipelineReport, path) -> None:
 
 
 def format_report(report: PipelineReport) -> str:
-    fields = (
-        "pages_in",
-        "pages_retained",
-        "lines_total",
-        "lines_unique",
-        "lines_retained",
-        "sentences_extracted",
-        "sentences_unique",
-        "sentences_labeled",
-    )
-    return "".join(f"{name}\t{getattr(report, name)}\n" for name in fields)
+    return "".join(f"{f.name}\t{getattr(report, f.name)}\n" for f in fields(report))

@@ -382,6 +382,63 @@ def test_unregistered_corpus_filename_is_data_error(workspace, tmp_path, capsys)
     assert code == 2
 
 
+def test_train_names_the_corpus_file_at_fault(workspace, tmp_path, capsys):
+    corpora = tmp_path / "corpora"
+    corpora.mkdir()
+    shutil.copy(workspace["corpora"] / "fkv.txt", corpora / "fkv.txt")
+    argv = ["train", "--registry", str(workspace["registry"]), "--corpora", str(corpora),
+            "--out", str(tmp_path / "m")]
+    (corpora / "notes.txt").write_text("some text\n", encoding="utf-8")
+    assert main(argv) == 2
+    notes = corpora / "notes.txt"
+    assert capsys.readouterr().err == f"uralid: {notes}: unregistered language code 'notes'\n"
+    notes.unlink()
+    shutil.copy(corpora / "fkv.txt", corpora / "fkv_2.txt")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"uralid: {corpora / 'fkv_2.txt'}: duplicate corpus for language 'fkv', "
+        f"also in {corpora / 'fkv.txt'}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["identify", "pipeline"])
+def test_manifest_without_model_rows_is_data_error(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    manifest = models / "manifest.tsv"
+    rows = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    manifest.write_text("".join(row for row in rows if not row.startswith("model\t")), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO("abba\n"))
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    argv = {
+        "identify": ["identify", "--models", str(models)],
+        "pipeline": ["pipeline", "--pages", str(pages), "--models", str(models),
+                     "--out", str(tmp_path / "out.tsv")],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"uralid: {manifest}: manifest lists no model rows\n"
+
+
+def test_second_model_row_pointing_at_another_model_names_its_line(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    manifest = models / "manifest.tsv"
+    rows = manifest.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, row in enumerate(rows) if row.startswith("model\tfkv\t1\t")) + 1
+    rows.insert(at, "model\tfkv\t1\tmodels/izh.1.tsv\t10")
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO("abba\n"))
+    assert main(["identify", "--models", str(models)]) == 2
+    assert capsys.readouterr().err == (
+        f"uralid: {manifest}:{at + 1}: model path must be models/fkv.1.tsv, got 'models/izh.1.tsv'\n"
+    )
+
+
 def test_environment_does_not_override_flags(workspace, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ULI_N_MAX", "2")
     out = tmp_path / "models"

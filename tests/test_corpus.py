@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uralid.corpus import Corpus, load_corpus, sniff_format
+from uralid.corpus import Corpus, load_corpus
 from uralid.errors import DataError
 
 
@@ -34,13 +34,13 @@ def test_cr_only_line_ends_accepted(tmp_path):
 
 def test_indexed_format_strips_leading_index(tmp_path):
     path = write(tmp_path, "c.tsv", "1\tminä olen\n2\tsinä olet\n")
-    assert load_corpus(path, "fin", format="indexed").sentences == ("minä olen", "sinä olet")
+    assert load_corpus(path, "fin").sentences == ("minä olen", "sinä olet")
 
 
 def test_indexed_line_without_tab_names_the_line(tmp_path):
     path = write(tmp_path, "c.tsv", "1\tok\nbroken\n")
     with pytest.raises(DataError, match=":2:"):
-        load_corpus(path, "fin", format="indexed")
+        load_corpus(path, "fin")
 
 
 def test_invalid_utf8_reports_byte_offset(tmp_path):
@@ -55,20 +55,30 @@ def test_invalid_utf8_line_number_counts_cr_line_ends(tmp_path):
         load_corpus(path, "vep")
 
 
-def test_unknown_format_rejected(tmp_path):
-    path = write(tmp_path, "c.txt", "x\n")
-    with pytest.raises(ValueError):
-        load_corpus(path, "vep", format="xml")
-
-
 def test_corpus_rejects_embedded_line_breaks():
     with pytest.raises(DataError):
         Corpus(language="vep", sentences=("one\ntwo",))
 
 
-def test_sniff_format(tmp_path):
-    assert sniff_format(write(tmp_path, "a.tsv", "12\tsentence here\n")) == "indexed"
-    assert sniff_format(write(tmp_path, "b.txt", "just words\n")) == "plain"
-    assert sniff_format(write(tmp_path, "c.txt", "word\tword\n")) == "plain"
-    assert sniff_format(write(tmp_path, "d.txt", "")) == "plain"
+def test_first_line_with_an_integer_then_a_tab_makes_the_file_indexed(tmp_path):
+    path = write(tmp_path, "a.tsv", "12\tsentence here\n3\tanother one\n")
+    assert load_corpus(path, "fin").sentences == ("sentence here", "another one")
 
+
+def test_tab_without_a_leading_integer_is_plain(tmp_path):
+    path = write(tmp_path, "c.txt", "word\tword\n12\tnot an index here\n")
+    assert load_corpus(path, "fin").sentences == ("word\tword", "12\tnot an index here")
+
+
+def test_plain_file_keeps_whole_lines(tmp_path):
+    path = write(tmp_path, "b.txt", "just words\n")
+    assert load_corpus(path, "fin").sentences == ("just words",)
+
+
+def test_empty_file_is_an_empty_corpus(tmp_path):
+    assert load_corpus(write(tmp_path, "d.txt", ""), "fin").sentences == ()
+
+
+def test_format_is_read_from_the_first_non_blank_line(tmp_path):
+    path = write(tmp_path, "e.tsv", " \t \n7\tminä olen\n")
+    assert load_corpus(path, "fin").sentences == ("minä olen",)

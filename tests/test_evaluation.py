@@ -1,7 +1,11 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import make_registry
 from uralid.errors import DataError
@@ -173,6 +177,47 @@ def test_compute_track_scores_covers_every_language():
     assert 0.0 <= scores.track1_relevant_macro_f1 <= 1.0
     assert 0.0 <= scores.track2_relevant_micro_f1 <= 1.0
     assert 0.0 <= scores.track3_macro_f1 <= 1.0
+
+
+def reference_prf(tp, predicted, gold):
+    precision = Fraction(tp, predicted) if predicted else Fraction(1)
+    recall = Fraction(tp, gold) if gold else Fraction(1)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else Fraction(0)
+    return precision, recall, f1
+
+
+CODES = make_registry().codes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(CODES), st.sampled_from(CODES)), max_size=30))
+@example(pairs=[])
+@example(pairs=[("fkv", "izh"), ("izh", "izh"), ("swe", "vep")])  # no gold or never predicted
+def test_track_scores_equal_an_exact_reference_from_label_counts(pairs):
+    registry = make_registry()
+    counts = Counter(pairs)
+    gold = Counter(g for g, _ in pairs)
+    predicted = Counter(p for _, p in pairs)
+    per_language = {
+        code: reference_prf(counts[code, code], predicted[code], gold[code]) for code in CODES
+    }
+
+    def macro(codes):
+        return float(sum((per_language[code][2] for code in codes), Fraction(0)) / len(codes))
+
+    relevant = registry.relevant_codes()
+    hits = sum(counts[code, code] for code in relevant)
+    pool_predicted = sum(predicted[code] for code in relevant)
+    pool_gold = sum(gold[code] for code in relevant)
+    scores = compute_track_scores(cm_from_pairs(pairs, registry))
+    assert scores.track1_relevant_macro_f1 == macro(relevant)
+    assert scores.track2_relevant_micro_f1 == float(
+        reference_prf(hits, pool_predicted, pool_gold)[2]
+    )
+    assert scores.track3_macro_f1 == macro(CODES)
+    assert scores.per_language == {
+        code: tuple(map(float, values)) for code, values in per_language.items()
+    }
 
 
 def test_confusion_write_read_round_trip(tmp_path):

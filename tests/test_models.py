@@ -191,6 +191,71 @@ def test_manifest_use_words_must_be_0_or_1(tmp_path, value):
     assert str(info.value) == f"{manifest}: bad params: use_words must be 0 or 1, got {value!r}"
 
 
+def saved_manifest(tmp_path):
+    """The manifest lines of a saved two-language model set, and its path."""
+    corpora = [corpus("fkv", "ab ab"), corpus("izh", "fg")]
+    save_models(train_models(corpora, HeliParams(n_max=1), make_registry()), tmp_path / "m")
+    manifest = tmp_path / "m" / "manifest.tsv"
+    return manifest.read_text(encoding="utf-8").splitlines(), manifest
+
+
+@pytest.mark.parametrize(
+    "prefix, edit, offset, message",
+    [
+        ("language\tizh\t", lambda row: [row.replace("\t1\t0", "\tx\t0")], 0,
+         "relevant flag must be 0 or 1, got 'x'"),
+        ("model\tizh\t1\t", lambda row: [row.replace("izh", "xyz", 1)], 0,
+         "unregistered language code 'xyz'"),
+        ("model\tizh\t1\t", lambda row: [row.replace("izh\t1", "izh\t7")], 0,
+         "unknown domain '7' for izh"),
+        ("model\tizh\t1\t", lambda row: [row.replace("models/izh.1.tsv", "../izh.1.tsv")], 0,
+         "model path must be models/izh.1.tsv, got '../izh.1.tsv'"),
+        ("model\tfkv\t1\t", lambda row: [row, row.replace("models/fkv", "models/izh")], 1,
+         "model path must be models/fkv.1.tsv, got 'models/izh.1.tsv'"),
+        ("model\tfkv\t1\t", lambda row: [row, row], 1, "second model row for fkv 1"),
+    ],
+    ids=["registry-row", "unregistered", "domain", "path", "other-language-path", "second-row"],
+)
+def test_manifest_faults_name_the_manifest_line(tmp_path, prefix, edit, offset, message):
+    lines, manifest = saved_manifest(tmp_path)
+    at = next(i for i, row in enumerate(lines) if row.startswith(prefix))
+    lines[at : at + 1] = edit(lines[at])
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_models(tmp_path / "m")
+    assert str(info.value) == f"{manifest}:{at + 1 + offset}: {message}"
+
+
+def test_missing_model_file_names_the_manifest_line(tmp_path):
+    lines, manifest = saved_manifest(tmp_path)
+    (tmp_path / "m" / "models" / "izh.1.tsv").unlink()
+    line = lines.index(next(row for row in lines if row.startswith("model\tizh\t1\t"))) + 1
+    with pytest.raises(DataError) as info:
+        load_models(tmp_path / "m")
+    assert str(info.value) == f"{manifest}:{line}: missing model file models/izh.1.tsv"
+
+
+def test_manifest_without_model_rows_is_data_error(tmp_path):
+    lines, manifest = saved_manifest(tmp_path)
+    kept = [row for row in lines if not row.startswith("model\t")]
+    manifest.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_models(tmp_path / "m")
+    assert str(info.value) == f"{manifest}: manifest lists no model rows"
+
+
+def test_corpus_faults_name_the_corpus_files():
+    registry = make_registry()
+    notes = Corpus(language="notes", sentences=(), source_path="c/notes.txt")
+    with pytest.raises(DataError, match=r"^c/notes\.txt: unregistered language code 'notes'$"):
+        train_models([notes], HeliParams(), registry)
+    first = Corpus(language="fkv", sentences=("a",), source_path="c/fkv.txt")
+    second = Corpus(language="fkv", sentences=("b",), source_path="c/fkv_2.txt")
+    with pytest.raises(DataError) as info:
+        train_models([first, second], HeliParams(), registry)
+    assert str(info.value) == "c/fkv_2.txt: duplicate corpus for language 'fkv', also in c/fkv.txt"
+
+
 def test_unsorted_model_file_raises(tmp_path):
     reg = make_registry()
     ms = train_models([corpus("fkv", "ba ab")], HeliParams(n_max=1), reg)

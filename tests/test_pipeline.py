@@ -15,7 +15,6 @@ from uralid.pipeline import (
     LabeledLine,
     LabeledSentence,
     Page,
-    PipelineConfig,
     PipelineReport,
     format_report,
     load_pages,
