@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -40,26 +41,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise ValueError(f"expected a positive integer, got {value!r}")
-    return number
-
-
 def _load_registry(args):
     return load_registry(args.registry) if args.registry else default_registry()
 
 
 def _add_param_flags(parser):
-    parser.add_argument("--n-max", dest="n_max", type=_positive_int, default=6,
-                        help="longest character n-gram to model (default 6)")
-    parser.add_argument("--cutoff", type=float, default=5e-7,
-                        help="minimum relative frequency a feature must reach (default 5e-7)")
-    parser.add_argument("--penalty", type=float, default=7.0,
-                        help="score for features unseen in a model (default 7)")
+    """One flag per HeliParams field, defaulting to it; HeliParams checks the values."""
+    parser.add_argument("--n-max", dest="n_max", type=int, default=HeliParams.n_max,
+                        help="longest character n-gram to model (default %(default)s)")
+    parser.add_argument("--cutoff", dest="cutoff_c", type=float, default=HeliParams.cutoff_c,
+                        help="minimum relative frequency a feature must reach (default %(default)s)")
+    parser.add_argument("--penalty", dest="penalty_p", type=float, default=HeliParams.penalty_p,
+                        help="score for features unseen in a model (default %(default)s)")
     parser.add_argument("--no-words", dest="use_words", action="store_false",
-                        help="disable the whole-word feature domain")
+                        default=HeliParams.use_words, help="disable the whole-word feature domain")
 
 
 def build_parser() -> _Parser:
@@ -105,13 +100,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_train(args) -> int:
+    params = HeliParams(**{f.name: getattr(args, f.name) for f in fields(HeliParams)})
     registry = _load_registry(args)
-    params = HeliParams(
-        n_max=args.n_max,
-        cutoff_c=args.cutoff,
-        penalty_p=args.penalty,
-        use_words=args.use_words,
-    )
     corpora_dir = Path(args.corpora)
     if not corpora_dir.is_dir():
         raise DataError(f"{corpora_dir}: not a directory")
@@ -164,6 +154,10 @@ def cmd_evaluate(args) -> int:
     registry = _load_registry(args)
     golds = load_labels(args.gold, registry)
     preds = load_labels(args.pred, registry)
+    if len(golds) != len(preds):
+        raise DataError(
+            f"label counts differ: {args.gold} has {len(golds)}, {args.pred} has {len(preds)}"
+        )
     matrix = confusion(golds, preds, registry)
     scores = compute_track_scores(matrix)
     if args.out:

@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import takewhile
 from pathlib import Path
 
 from .corpus import Corpus
 from .errors import DataError, read_utf8, split_records
 from .features import WORD_DOMAIN, all_domains, extract_ngrams, pad_word, tokenize
-from .registry import LanguageEntry, LanguageRegistry, parse_registry
+from .registry import LanguageRegistry, parse_registry
 
 # Absolute slack for score range checks: covers the rounding step of the
 # 10-significant-digit quantization at the top of the score range.
@@ -51,7 +52,7 @@ class HeliParams:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if not 0.0 < self.cutoff_c < 1.0:
             raise ValueError(f"cutoff_c must be in (0, 1), got {self.cutoff_c}")
-        if self.penalty_p < 0:
+        if not self.penalty_p >= 0:  # NaN too
             raise ValueError(f"penalty_p must be >= 0, got {self.penalty_p}")
         if self.penalty_p <= self.max_score():
             warnings.warn(
@@ -153,33 +154,34 @@ def train_models(
     return ModelSet(params=params, models=models, registry=registry)
 
 
-def _format_param(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    return repr(value)
+def _format_param(f, params: HeliParams) -> str:
+    value = type(f.default)(getattr(params, f.name))  # 7 and 7.0 both write "7.0"
+    return str(int(value)) if isinstance(value, bool) else repr(value)
 
 
 def _model_path(code: str, domain: str) -> str:
     return f"models/{code}.{domain}.tsv"
 
 
+def _manifest_header(params: HeliParams, registry: LanguageRegistry) -> list[str]:
+    """The param, cjkblock and language rows that open every manifest, in order."""
+    rows = [f"param\t{f.name}\t{_format_param(f, params)}" for f in fields(params)]
+    rows += [f"cjkblock\t{lo:04X}\t{hi:04X}" for lo, hi in registry.cjk_blocks]
+    return rows + [
+        f"language\t{e.code}\t{e.name}\t{int(e.relevant)}\t{int(e.cjk)}" for e in registry.entries
+    ]
+
+
 def save_models(model_set: ModelSet, directory) -> None:
     """Write manifest.tsv plus one sorted TSV per language and domain."""
+    if not model_set.models:  # load_models refuses a manifest without model rows
+        raise DataError("a model set without models cannot be saved")
     directory = Path(directory)
     (directory / "models").mkdir(parents=True, exist_ok=True)
     params = model_set.params
     registry = model_set.registry
 
-    manifest: list[str] = []
-    for name in ("n_max", "cutoff_c", "penalty_p", "use_words"):
-        manifest.append(f"param\t{name}\t{_format_param(getattr(params, name))}")
-    for lo, hi in registry.cjk_blocks:
-        manifest.append(f"cjkblock\t{lo:04X}\t{hi:04X}")
-    for entry in registry.entries:
-        manifest.append(
-            f"language\t{entry.code}\t{entry.name}\t{int(entry.relevant)}\t{int(entry.cjk)}"
-        )
-
+    manifest = _manifest_header(params, registry)
     ordered_codes = [c for c in registry.codes() if c in model_set.models]
     for code in ordered_codes:
         model = model_set.models[code]
@@ -198,46 +200,45 @@ def save_models(model_set: ModelSet, directory) -> None:
     )
 
 
+def _parse_param(f, text: str):
+    """A param row's value, read by the type of its HeliParams default."""
+    if isinstance(f.default, bool):
+        if text not in ("0", "1"):
+            raise ValueError(f"{f.name} must be 0 or 1, got {text!r}")
+        return text == "1"
+    return type(f.default)(text)
+
+
 def _parse_manifest(path: Path):
-    """Params, registry and ``(line, code, domain, path, total)`` model rows."""
-    params_fields: dict[str, str] = {}
-    registry_lines: list[str] = []
-    model_rows: list[tuple[int, str, str, str, int]] = []
-    for lineno, raw in enumerate(split_records(read_utf8(path)), start=1):
-        fields = raw.split("\t")
-        kind = fields[0]
-        registry_lines.append("")  # one per record, so registry errors name manifest lines
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        if kind == "param" and len(fields) == 3:
-            params_fields[fields[1]] = fields[2]
-        elif kind == "cjkblock" and len(fields) == 3:
-            registry_lines[-1] = f"#!cjk-block\t{fields[1]}\t{fields[2]}"
-        elif kind == "language" and len(fields) == 5:
-            registry_lines[-1] = "\t".join(fields[1:])
-        elif kind == "model" and len(fields) == 5:
-            try:
-                total = int(fields[4])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad total count {fields[4]!r}") from None
-            model_rows.append((lineno, fields[1], fields[2], fields[3], total))
-        else:
-            raise DataError(f"{path}:{lineno}: unrecognized manifest row {raw!r}")
-    missing = {"n_max", "cutoff_c", "penalty_p", "use_words"} - set(params_fields)
-    if missing:
-        raise DataError(f"{path}: manifest missing params: {sorted(missing)}")
+    """Params, registry and ``(line, code, domain, path, total)`` model rows; the rows
+    before the first model row must be exactly those ``_manifest_header`` renders."""
+    rows = split_records(read_utf8(path))
+    texts: dict[str, str] = {}
+    registry_lines: list[str] = []  # one per row, so registry errors name manifest lines
+    for raw in takewhile(lambda row: not row.startswith("model\t"), rows):
+        cells = raw.split("\t")
+        if cells[0] == "param" and len(cells) == 3:
+            texts[cells[1]] = cells[2]
+        rest = "\t".join(cells[1:])
+        registry_lines.append({"cjkblock": f"#!cjk-block\t{rest}", "language": rest}.get(cells[0], ""))
     try:
-        if params_fields["use_words"] not in ("0", "1"):
-            raise ValueError(f"use_words must be 0 or 1, got {params_fields['use_words']!r}")
-        params = HeliParams(
-            n_max=int(params_fields["n_max"]),
-            cutoff_c=float(params_fields["cutoff_c"]),
-            penalty_p=float(params_fields["penalty_p"]),
-            use_words=params_fields["use_words"] == "1",
-        )
+        given = [f for f in fields(HeliParams) if f.name in texts]
+        params = HeliParams(**{f.name: _parse_param(f, texts[f.name]) for f in given})
     except ValueError as exc:
         raise DataError(f"{path}: bad params: {exc}") from None
     registry = parse_registry("\n".join(registry_lines), source=path)
+    header = _manifest_header(params, registry)
+    for lineno, want in enumerate(header, start=1):
+        if lineno > len(rows) or rows[lineno - 1] != want:
+            raise DataError(f"{path}:{lineno}: expected {want!r}")
+    model_rows: list[tuple[int, str, str, str, int]] = []
+    for lineno, raw in enumerate(rows[len(header):], start=len(header) + 1):
+        cells = raw.split("\t")
+        if cells[0] != "model" or len(cells) != 5:
+            raise DataError(f"{path}:{lineno}: unrecognized manifest row {raw!r}")
+        if not (cells[4].isascii() and cells[4].isdigit()):
+            raise DataError(f"{path}:{lineno}: bad total count {cells[4]!r}")
+        model_rows.append((lineno, cells[1], cells[2], cells[3], int(cells[4])))
     if not model_rows:
         raise DataError(f"{path}: manifest lists no model rows")
     return params, registry, model_rows
@@ -247,8 +248,6 @@ def _load_model_file(path: Path, max_score: float) -> dict[str, float]:
     scores: dict[str, float] = {}
     previous: str | None = None
     for lineno, raw in enumerate(split_records(read_utf8(path)), start=1):
-        if raw == "":
-            continue
         parts = raw.split("\t")
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected feature<TAB>score")
@@ -269,7 +268,8 @@ def _load_model_file(path: Path, max_score: float) -> dict[str, float]:
 
 
 def load_models(directory) -> ModelSet:
-    """Exact inverse of save_models."""
+    """Exact inverse of save_models: any row or line it would not write, a blank
+    one included, is a DataError naming its file and line."""
     directory = Path(directory)
     manifest_path = directory / "manifest.tsv"
     if not manifest_path.is_file():

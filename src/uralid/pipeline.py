@@ -296,6 +296,7 @@ def load_pages(path) -> list[Page]:
         for file in sorted(path.glob("*.txt")):
             pages.append(Page(url=file.stem, text=read_utf8(file)))
         return pages
+    first_lines: dict[str, int] = {}
     for lineno, raw in enumerate(split_records(read_utf8(path)), start=1):
         if not raw.strip():
             continue
@@ -303,6 +304,9 @@ def load_pages(path) -> list[Page]:
         if len(fields) != 2:
             raise DataError(f"{path}:{lineno}: expected url<TAB>base64 text")
         url, payload = fields
+        first = first_lines.setdefault(url, lineno)
+        if first != lineno:
+            raise DataError(f"{path}:{lineno}: duplicate page url {url!r}, first on line {first}")
         try:
             text = base64.b64decode(payload, validate=True).decode("utf-8")
         except (ValueError, UnicodeDecodeError) as exc:

@@ -54,10 +54,14 @@ class LanguageRegistry:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.cjk_blocks:
+            raise DataError("a registry needs at least one CJK block")
         index: dict[str, int] = {}
         for i, entry in enumerate(self.entries):
             if not _CODE_RE.match(entry.code):
                 raise DataError(f"invalid language code {entry.code!r}")
+            if any(c in entry.name for c in "\t\r\n"):
+                raise DataError(f"language name {entry.name!r} holds a tab or line break")
             if entry.code in index:
                 raise DataError(f"duplicate language code {entry.code!r}")
             index[entry.code] = i

@@ -273,6 +273,18 @@ def test_evaluate_length_mismatch_is_data_error(workspace, tmp_path, capsys):
         ["evaluate", "--gold", str(gold), "--pred", str(pred), "--registry", str(workspace["registry"])]
     )
     assert code == 2
+    assert capsys.readouterr().err == f"uralid: label counts differ: {gold} has 1, {pred} has 2\n"
+
+
+def test_pipeline_repeated_url_names_both_crawl_lines(workspace, tmp_path, capsys):
+    encoded = base64.b64encode(" ".join(disjoint_sentences("fkv", 3)).encode("utf-8")).decode("ascii")
+    pages = tmp_path / "crawl.tsv"
+    pages.write_text(f"one\t{encoded}\ntwo\t{encoded}\n\none\t{encoded}\n", encoding="utf-8")
+    out = tmp_path / "sentences.tsv"
+    argv = ["pipeline", "--pages", str(pages), "--models", str(workspace["models"]), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"uralid: {pages}:4: duplicate page url 'one', first on line 1\n"
+    assert not out.exists()
 
 
 def test_pipeline_end_to_end(workspace, tmp_path, capsys):
@@ -437,6 +449,21 @@ def test_second_model_row_pointing_at_another_model_names_its_line(
     assert capsys.readouterr().err == (
         f"uralid: {manifest}:{at + 1}: model path must be models/fkv.1.tsv, got 'models/izh.1.tsv'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--n-max", "0", "n_max must be >= 1, got 0"),
+     ("--cutoff", "1.5", "cutoff_c must be in (0, 1), got 1.5"),
+     ("--penalty", "nan", "penalty_p must be >= 0, got nan")],
+)
+def test_train_param_flags_are_checked_by_heli_params(workspace, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "models"
+    argv = ["train", "--registry", str(workspace["registry"]),
+            "--corpora", str(workspace["corpora"]), "--out", str(out), flag, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"uralid: error: {message}\n"
+    assert not out.exists()
 
 
 def test_environment_does_not_override_flags(workspace, tmp_path, monkeypatch, capsys):

@@ -1,11 +1,16 @@
 import math
 import random
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_registry, random_model_set, random_sentence, to_oracle_models
 from oracle import oracle_train
+from uralid.cli import main
 from uralid.corpus import Corpus
 from uralid.errors import DataError
 from uralid.models import (
@@ -17,6 +22,7 @@ from uralid.models import (
     save_models,
     train_models,
 )
+from uralid.registry import DEFAULT_CJK_BLOCKS, LanguageEntry, LanguageRegistry
 
 
 def corpus(code, *sentences):
@@ -161,6 +167,116 @@ def test_copy_with_other_line_ends_loads_equal(tmp_path, newline):
     for path in (tmp_path / "m").rglob("*.tsv"):
         path.write_bytes(path.read_bytes().replace(b"\n", newline))
     assert load_models(tmp_path / "m") == ms
+
+
+@st.composite
+def model_sets(draw):
+    """A trained model set over random params and a random registry."""
+    codes = draw(st.lists(st.text("abcdefghij", min_size=3, max_size=3), min_size=1, max_size=4,
+                          unique=True))
+    names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n"),
+                    max_size=6)
+    codepoints = st.integers(0, 0x10FFFF)
+    blocks = draw(st.lists(st.tuples(codepoints, codepoints).map(sorted).map(tuple),
+                           min_size=1, max_size=3))
+    entries = tuple(LanguageEntry(code, draw(names), draw(st.booleans()), draw(st.booleans()))
+                    for code in codes)
+    registry = LanguageRegistry(entries=entries, cjk_blocks=tuple(blocks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a penalty below -log10(cutoff) is still a valid set
+        params = HeliParams(
+            n_max=draw(st.integers(1, 3)),
+            cutoff_c=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+            # an int penalty is written as the float it equals, so it loads back equal
+            penalty_p=draw(st.integers(0, 20) | st.floats(min_value=0, allow_nan=False)),
+            use_words=draw(st.booleans()),
+        )
+    trained = draw(st.lists(st.sampled_from(codes), min_size=1, max_size=len(codes), unique=True))
+    sentences = st.lists(st.text("abcé ж", max_size=12), max_size=3)
+    corpora = [Corpus(language=code, sentences=tuple(draw(sentences))) for code in trained]
+    return train_models(corpora, params, registry)
+
+
+def directory_bytes(directory: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(directory)): path.read_bytes() for path in directory.rglob("*.tsv")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_sets())
+def test_load_models_inverts_save_models(ms):
+    with tempfile.TemporaryDirectory() as scratch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        first, second = Path(scratch, "first"), Path(scratch, "second")
+        save_models(ms, first)
+        loaded = load_models(first)
+        assert loaded == ms
+        save_models(loaded, second)
+        assert directory_bytes(second) == directory_bytes(first)
+
+
+def test_save_models_refuses_a_set_without_models(tmp_path):
+    empty = ModelSet(params=HeliParams(), models={}, registry=make_registry())
+    with pytest.raises(DataError, match="^a model set without models cannot be saved$"):
+        save_models(empty, tmp_path / "m")
+    assert not (tmp_path / "m").exists()
+
+
+def _insert_at_line_2(row):
+    return lambda rows: (rows[:1] + [row] + rows[1:], 2)
+
+
+def _first_total(total):
+    def edit(rows):
+        at = next(i for i, row in enumerate(rows) if row.startswith("model\t"))
+        rows[at] = rows[at].rsplit("\t", 1)[0] + "\t" + total
+        return rows, at + 1
+    return edit
+
+
+@pytest.mark.parametrize(
+    "file, edit, message",
+    [
+        ("manifest.tsv", _insert_at_line_2("param\tpenalty_p\t9.0"), "expected 'param\\tcutoff_c\\t5e-07'"),
+        ("manifest.tsv", _insert_at_line_2("param\tn_maxx\t9"), "expected 'param\\tcutoff_c\\t5e-07'"),
+        ("manifest.tsv", _insert_at_line_2("# note"), "expected 'param\\tcutoff_c\\t5e-07'"),
+        ("manifest.tsv", _insert_at_line_2(""), "expected 'param\\tcutoff_c\\t5e-07'"),
+        ("manifest.tsv", _first_total("-5"), "bad total count '-5'"),
+        ("manifest.tsv", _first_total("+5"), "bad total count '+5'"),
+        ("manifest.tsv", lambda rows: ([r for r in rows if not r.startswith("cjkblock")], 5),
+         "expected 'cjkblock\\t1100\\t11FF'"),
+        ("models/fkv.1.tsv", lambda rows: (rows + [""], len(rows) + 1), "expected feature<TAB>score"),
+    ],
+    ids=["second-param", "unknown-param", "comment", "blank", "negative-total", "signed-total",
+         "no-cjkblocks", "blank-model-line"],
+)
+def test_rows_save_models_never_writes_name_their_line(tmp_path, capsys, file, edit, message):
+    corpora = [corpus("fkv", "ab ab"), corpus("izh", "fg")]
+    save_models(train_models(corpora, HeliParams(n_max=1), make_registry()), tmp_path / "m")
+    path = tmp_path / "m" / file
+    rows, line = edit(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_models(tmp_path / "m")
+    assert str(info.value) == f"{path}:{line}: {message}"
+    (tmp_path / "in.txt").write_text("ab\n", encoding="utf-8")
+    assert main(["identify", "--models", str(tmp_path / "m"), "--input", str(tmp_path / "in.txt")]) == 2
+    assert capsys.readouterr().err == f"uralid: {path}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, blocks, message",
+    [
+        ("Kven\tx", DEFAULT_CJK_BLOCKS, "language name 'Kven\\tx' holds a tab or line break"),
+        ("Kven\rx", DEFAULT_CJK_BLOCKS, "language name 'Kven\\rx' holds a tab or line break"),
+        ("Kven\nx", DEFAULT_CJK_BLOCKS, "language name 'Kven\\nx' holds a tab or line break"),
+        ("Kven", (), "a registry needs at least one CJK block"),
+    ],
+    ids=["tab", "cr", "lf", "no-blocks"],
+)
+def test_registry_refuses_what_no_manifest_can_hold(name, blocks, message):
+    with pytest.raises(DataError) as info:
+        LanguageRegistry(entries=(LanguageEntry("fkv", name, True),), cjk_blocks=blocks)
+    assert str(info.value) == message
 
 
 def test_missing_manifest_raises(tmp_path):

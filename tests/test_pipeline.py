@@ -440,6 +440,14 @@ def test_funnel_monotone_on_random_crawls(models):
 # --- I/O ----------------------------------------------------------------------
 
 
+def test_page_lines_break_where_str_splitlines_does():
+    # unlike the record rule for files, page text also breaks at form feed, U+0085 and U+2028
+    text = "one\x0ctwo\x85three\u2028four\u2029five\r\nsix\n\n  \nseven"
+    assert page_lines(Page(url="u", text=text)) == [
+        "one", "two", "three", "four", "five", "six", "seven"
+    ]
+
+
 def test_load_pages_from_tsv(tmp_path):
     payload = base64.b64encode("tere\nmaailm".encode()).decode()
     path = tmp_path / "pages.tsv"
