@@ -10,14 +10,23 @@ work dominates identification time. The contract:
 
 ``feature_ids`` is the concatenation of every word's feature column indices
 (-1 for out-of-vocabulary features); word ``w`` owns the ``counts[w] >= 1``
-entries starting at ``offsets[w]``. ``score_matrix`` holds per-language
-scores, rows at registry positions, with a negative sentinel for absent
-features; the scorer passes only the batch's block of used columns, with
-the feature ids renumbered to index it. ``scores[w, i]`` is the mean over
-word ``w``'s features of candidate ``i``'s score, and ``usable[w]`` says
-whether any candidate had any of the word's features, which drives the
-backoff over feature domains. A word's results do not depend on the other
-words of the batch, bit for bit.
+entries starting at ``offsets[w]``, and the words' entries follow each
+other in order. ``score_matrix`` holds per-language scores, rows at
+registry positions, with a negative sentinel for absent features; the
+scorer passes only the batch's block of used columns, with the feature ids
+renumbered to index it. ``scores[w, i]`` is candidate ``i``'s scores of
+word ``w``'s features, the penalty in place of each absent one, added in
+feature order from 0.0 as ``acc += score`` adds them and divided by
+``counts[w]``: bit for bit the loop of ``reference_kernel`` in the tests
+and the sums of the brute-force oracle. ``usable[w]`` says whether any
+candidate had any of the word's features, which drives the backoff over
+feature domains. A word's results do not depend on the other words of the
+batch, bit for bit. Temporaries grow with the number of words times
+candidates, plus the block's columns times candidates; no step gathers
+every feature of the batch at once.
+
+``running_sums`` is the one summation rule: the scorer adds a sentence's
+word rows with it, and the kernel a word's feature scores.
 """
 
 from __future__ import annotations
@@ -25,10 +34,6 @@ from __future__ import annotations
 import importlib.util
 
 import numpy as np
-
-# Most float64 entries one gather of the kernel may hold, so that its
-# temporaries stay a few MB whatever the batch size.
-_GATHER_LIMIT = 1 << 18
 
 # Read only by the benchmark's context line.
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
@@ -39,28 +44,31 @@ def resolve_backend() -> str:
     return "numpy"
 
 
+def running_sums(rows, index, starts, counts):
+    """Per segment ``i``, the sum of ``rows[index[j]]`` over
+    ``starts[i] <= j < starts[i] + counts[i]``, added in that order from 0.0 as
+    ``acc += row`` adds them; a segment without terms sums to zeros.
+
+    Each step gathers one row for every segment that still has terms, so the
+    temporaries stay the size of the result.
+    """
+    sums = np.zeros((counts.shape[0], rows.shape[1]), dtype=np.float64)
+    live = np.flatnonzero(counts > 0)
+    k = 0
+    while live.size:
+        sums[live] += rows[index[starts[live] + k]]
+        k += 1
+        live = live[counts[live] > k]
+    return sums
+
+
 def kernel(feature_ids, offsets, counts, score_matrix, candidate_rows, penalty):
-    n_words = counts.shape[0]
-    n_rows = candidate_rows.shape[0]
-    scores = np.full((n_words, n_rows), penalty, dtype=np.float64)
-    usable = np.zeros(n_words, dtype=np.bool_)
-    is_known = feature_ids >= 0
-    known_ids = feature_ids[is_known]
-    n_known = np.add.reduceat(is_known, offsets, dtype=np.int64)
-    known_starts = n_known.cumsum() - n_known
-    # Words with the same number m of known features share one (words, rows, m)
-    # gather; its sum over the last axis adds each word's m values exactly as
-    # a one-word (rows, m) gather would, so batching never changes a bit.
-    for m in sorted(set(n_known.tolist()) - {0}):
-        words = (n_known == m).nonzero()[0]
-        step = max(1, _GATHER_LIMIT // (n_rows * m))
-        for first in range(0, words.shape[0], step):
-            block = words[first : first + step]
-            cols = known_ids[known_starts[block][:, None] + np.arange(m)]
-            sub = score_matrix[candidate_rows[None, :, None], cols[:, None, :]]
-            present = sub >= 0.0
-            vals = np.where(present, sub, penalty)
-            k = counts[block]
-            scores[block] = (vals.sum(axis=2) + (penalty * (k - m))[:, None]) / k[:, None]
-            usable[block] = present.any(axis=(1, 2))
+    # one row per column of the block, then feature id -1's row, absent for all
+    table = np.full((score_matrix.shape[1] + 1, candidate_rows.shape[0]), -1.0)
+    table[:-1] = score_matrix[candidate_rows].T
+    known = (table >= 0.0).any(axis=1)
+    usable = np.logical_or.reduceat(known[feature_ids], offsets)
+    table[table < 0.0] = penalty
+    scores = running_sums(table, feature_ids, offsets, counts)
+    scores /= counts[:, None]
     return scores, usable

@@ -17,13 +17,17 @@ Words are scored in batches: ``Scorer.score_words`` looks each distinct
 word up in the word cache once and walks the backoff order over the rest,
 one kernel call per feature domain for every word still unresolved there
 (see ``backend`` for the kernel contract). A word's scores do not depend on
-the batch. ``Scorer.predict`` turns a chunk of sentences into predictions
-from one such batch, applying the CJK rule and picking winners over the
-chunk's score rows at once. ``Scorer.predictions`` streams them, one
-``predict`` call per chunk of ``_CHUNK_SIZE``, and ``Scorer.word_winners``
-streams per-word winners over the same chunks, so a caller holds one
-chunk's results at a time. Every entry point takes its candidates through
-``Scorer.candidate_rows``, which accepts only codes that have a model.
+the batch. Both means add their terms in order through one rule,
+``backend.running_sums``: a word's feature scores in the kernel and a
+sentence's word rows in ``Scorer.score_sentences``, so every score equals
+the plain left-to-right loop bit for bit. ``Scorer.predict`` turns a chunk
+of sentences into predictions from one such batch, applying the CJK rule
+and picking winners over the chunk's score rows at once.
+``Scorer.predictions`` streams them, one ``predict`` call per chunk of
+``_CHUNK_SIZE``, and ``Scorer.word_winners`` streams per-word winners over
+the same chunks, so a caller holds one chunk's results at a time. Every
+entry point takes its candidates through ``Scorer.candidate_rows``, which
+accepts only codes that have a model.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .backend import kernel
+from .backend import kernel, running_sums
 from .features import WORD_DOMAIN, extract_ngrams, pad_word, tokenize
 from .models import ModelSet
 from .registry import DEFAULT_CJK_BLOCKS, LanguageRegistry
@@ -248,17 +252,14 @@ class Scorer:
     ) -> tuple[np.ndarray, list[tuple[tuple[str, str | None], ...]]]:
         """Mean word-score row and (word, domain) trace of each token list.
 
-        A sentence's word rows are added in word order, as ``acc += row``
-        adds them (``ndarray.sum`` over the word axis may pair them up),
-        then divided by its token count; an empty list gets the penalty row.
+        A sentence's word rows are added by ``running_sums``, in word order
+        as ``acc += row`` adds them, then divided by its token count; an
+        empty list gets the penalty row.
         """
         entries = self.score_words(list(chain.from_iterable(tokens)), rows)
         counts = np.array([len(words) for words in tokens], dtype=np.int64)
-        starts = counts.cumsum() - counts
-        sums = np.zeros((len(tokens), rows.shape[0]), dtype=np.float64)
-        table = np.array([scores for scores, _ in entries])
-        for k in range(counts.max(initial=0)):
-            sums[counts > k] += table[starts[counts > k] + k]
+        table = np.array([scores for scores, _ in entries]).reshape(len(entries), rows.shape[0])
+        sums = running_sums(table, np.arange(len(entries)), counts.cumsum() - counts, counts)
         domains = iter(entries)
         traces = [tuple((word, next(domains)[1]) for word in words) for words in tokens]
         means = sums / np.maximum(counts, 1)[:, None]

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field, fields
 from itertools import takewhile
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import Corpus
 from .errors import DataError, read_utf8, split_records
 from .features import WORD_DOMAIN, all_domains, extract_ngrams, pad_word, tokenize
@@ -172,10 +174,50 @@ def _manifest_header(params: HeliParams, registry: LanguageRegistry) -> list[str
     ]
 
 
+def _first_score_outside(table: dict[str, float], max_score: float) -> int | None:
+    """Position of the first score in ``table`` outside [0, max_score] (up to the
+    quantization slack; NaN is outside), or None: the one range rule of saving and loading."""
+    scores = np.fromiter(table.values(), dtype=np.float64, count=len(table))
+    outside = ~((scores >= 0.0) & (scores <= max_score + SCORE_RANGE_SLACK))
+    return int(outside.argmax()) if outside.any() else None
+
+
+def _check_model(code: str, model: LanguageModel, params: HeliParams) -> None:
+    """Raise a DataError, naming the code and domain, for what ``load_models``
+    would reject or read back unequal."""
+    if model.language != code:
+        raise DataError(f"model {code}: language is {model.language!r}")
+    domains, max_score = params.domains(), params.max_score()
+    for what, keys in (("domains", model.domains), ("totals", model.totals)):
+        if set(keys) != set(domains):
+            raise DataError(f"model {code}: {what} {sorted(keys)}, the params give {sorted(domains)}")
+    for domain in domains:
+        where = f"model {code} {domain}"
+        total, table = model.totals[domain], model.domains[domain]
+        if type(total) is not int or total < 0:
+            raise DataError(f"{where}: total {total!r} is not a non-negative int")
+        joined = "".join(table)  # one scan of every feature, not one per feature
+        if any(c in joined for c in "\t\r\n"):
+            bad = next(f for f in table if any(c in f for c in "\t\r\n"))
+            raise DataError(f"{where}: feature {bad!r} holds a tab or line break")
+        at = _first_score_outside(table, max_score)
+        if at is not None:
+            feature, score = list(table.items())[at]
+            raise DataError(f"{where}: score {score!r} of {feature!r} outside [0, {max_score:.6f}]")
+
+
 def save_models(model_set: ModelSet, directory) -> None:
-    """Write manifest.tsv plus one sorted TSV per language and domain."""
+    """Write manifest.tsv plus one sorted TSV per language and domain.
+
+    Every model is checked before any file is written: one the loader would
+    reject or read back unequal is a DataError naming its code and domain.
+    Scores are written to 10 significant digits, so only quantized ones
+    (all that ``train_models`` makes) load back bit-equal.
+    """
     if not model_set.models:  # load_models refuses a manifest without model rows
         raise DataError("a model set without models cannot be saved")
+    for code, model in model_set.models.items():
+        _check_model(code, model, model_set.params)
     directory = Path(directory)
     (directory / "models").mkdir(parents=True, exist_ok=True)
     params = model_set.params
@@ -256,14 +298,13 @@ def _load_model_file(path: Path, max_score: float) -> dict[str, float]:
             raise DataError(f"{path}:{lineno}: features out of order at {feature!r}")
         previous = feature
         try:
-            score = float(score_text)
+            scores[feature] = float(score_text)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad score {score_text!r}") from None
-        if not 0.0 <= score <= max_score + SCORE_RANGE_SLACK:
-            raise DataError(
-                f"{path}:{lineno}: score {score} outside [0, {max_score:.6f}]"
-            )
-        scores[feature] = score
+    at = _first_score_outside(scores, max_score)  # features ascend, so entry i is line i + 1
+    if at is not None:
+        score = list(scores.values())[at]
+        raise DataError(f"{path}:{at + 1}: score {score} outside [0, {max_score:.6f}]")
     return scores
 
 

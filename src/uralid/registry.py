@@ -56,6 +56,9 @@ class LanguageRegistry:
     def __post_init__(self):
         if not self.cjk_blocks:
             raise DataError("a registry needs at least one CJK block")
+        for lo, hi in self.cjk_blocks:
+            if lo > hi:
+                raise DataError(f"CJK block bounds out of order: {lo:04X} > {hi:04X}")
         index: dict[str, int] = {}
         for i, entry in enumerate(self.entries):
             if not _CODE_RE.match(entry.code):

@@ -1,13 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_model_set
-from uralid import backend as backend_mod
-from uralid.backend import kernel
+from uralid.backend import kernel, running_sums
 from uralid.identifier import Scorer
 
 
@@ -64,14 +63,13 @@ def batch_of(word_ids):
 
 
 def test_kernels_agree_on_random_cases():
-    # the kernel's pairwise sums may differ from the loop's in the last ulp
     rng = random.Random(123)
     for _ in range(300):
         ids, matrix, rows = random_kernel_case(rng)
         out, usable = kernel(*batch_of([ids]), matrix, rows, 7.0)
         out_ref, usable_ref = reference_kernel(*batch_of([ids]), matrix, rows, 7.0)
         assert usable.tolist() == usable_ref.tolist()
-        np.testing.assert_allclose(out, out_ref, atol=1e-12, rtol=0.0)
+        assert out.tobytes() == out_ref.tobytes()
 
 
 def test_kernels_fill_penalty_when_nothing_known():
@@ -101,18 +99,56 @@ def kernel_batches(draw):
     return matrix, rows, words, order
 
 
-@pytest.mark.parametrize("gather_limit", [1, 7, backend_mod._GATHER_LIMIT])
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=180, deadline=None)
 @given(case=kernel_batches())
-def test_kernel_results_do_not_depend_on_the_batch(monkeypatch, gather_limit, case):
-    # a small gather limit splits the kernel's groups into several gathers
-    monkeypatch.setattr(backend_mod, "_GATHER_LIMIT", gather_limit)
+def test_kernel_results_do_not_depend_on_the_batch(case):
     matrix, rows, words, order = case
     batch_scores, batch_usable = kernel(*batch_of([words[w] for w in order]), matrix, rows, 7.0)
     for position, w in enumerate(order):
         alone, alone_usable = kernel(*batch_of([words[w]]), matrix, rows, 7.0)
         assert batch_scores[position].tobytes() == alone[0].tobytes()
         assert batch_usable[position] == alone_usable[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(st.floats(0.0, 6.3), min_size=3, max_size=3), min_size=n, max_size=n)
+    ),
+    data=st.data(),
+)
+def test_running_sums_equal_an_in_order_loop(rows, data):
+    rows = np.array(rows)
+    segments = data.draw(st.lists(
+        st.lists(st.integers(0, rows.shape[0] - 1), max_size=12), min_size=1, max_size=8
+    ))
+    index = np.array([i for segment in segments for i in segment], dtype=np.int64)
+    counts = np.array([len(segment) for segment in segments], dtype=np.int64)
+    sums = running_sums(rows, index, counts.cumsum() - counts, counts)
+    for segment, total in zip(segments, sums):
+        acc = np.zeros(rows.shape[1])
+        for i in segment:
+            acc += rows[i]
+        assert total.tobytes() == acc.tobytes()
+
+
+def test_kernel_memory_stays_within_a_few_outputs():
+    # 20,000 words of 8 features each, over 55 candidates and 4,096 columns: a
+    # gather of every feature of the batch at once would alone take 8 outputs
+    rng = np.random.default_rng(5)
+    n_words, n_rows, n_cols, k = 20_000, 55, 4_096, 8
+    matrix = rng.uniform(0.0, 6.3, (n_rows, n_cols))
+    matrix[rng.random((n_rows, n_cols)) < 0.5] = -1.0
+    feature_ids = rng.integers(-1, n_cols, n_words * k)
+    counts = np.full(n_words, k, dtype=np.int64)
+    rows = np.arange(n_rows, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        scores, _ = kernel(feature_ids, counts.cumsum() - counts, counts, matrix, rows, 7.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * scores.nbytes
 
 
 @settings(max_examples=40, deadline=None)

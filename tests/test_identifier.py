@@ -373,6 +373,40 @@ def test_scores_match_bruteforce_oracle():
         assert prediction.winner == oracle_winner(expected, candidates)
 
 
+def test_scores_equal_the_oracle_bit_for_bit():
+    # restricted candidate sets, and CJK words that trip the CJK rule on some sentences
+    rng = random.Random(16)
+    registry = make_registry(codes=[*ALPHABETS, "cmn"], cjk={"cmn"})
+    blocks = list(registry.cjk_blocks)
+    compared = 0
+    for _ in range(200):
+        ms = random_model_set(rng, registry=registry)
+        modeled = sorted(ms.models)
+        candidates = registry.sort_by_order(rng.sample(modeled, rng.randint(1, len(modeled))))
+        pool = [random_word(rng) for _ in range(8)] + ["日本語", "中文", "ab日本"]
+        sentences = [
+            " ".join(rng.choice(pool) for _ in range(rng.randint(0, 12))) for _ in range(8)
+        ]
+        predictions = identify_batch(sentences, ms, candidates)
+        for sentence, prediction in zip(sentences, predictions):
+            expected = oracle_score_sentence(
+                sentence,
+                to_oracle_models(ms),
+                candidates,
+                ms.params.n_max,
+                ms.params.penalty_p,
+                ms.params.use_words,
+            )
+            if oracle_cjk_ratio(sentence, blocks) > 0.5:
+                for code in candidates:
+                    if not registry.is_cjk(code):
+                        expected[code] += CJK_HIGH_PENALTY
+            assert prediction.scores == expected
+            assert prediction.winner == oracle_winner(expected, candidates)
+            compared += len(candidates)
+    assert compared > 3000
+
+
 def test_scores_stay_in_penalty_range():
     rng = random.Random(99)
     for _ in range(20):

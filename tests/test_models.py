@@ -270,13 +270,50 @@ def test_rows_save_models_never_writes_name_their_line(tmp_path, capsys, file, e
         ("Kven\rx", DEFAULT_CJK_BLOCKS, "language name 'Kven\\rx' holds a tab or line break"),
         ("Kven\nx", DEFAULT_CJK_BLOCKS, "language name 'Kven\\nx' holds a tab or line break"),
         ("Kven", (), "a registry needs at least one CJK block"),
+        ("Kven", ((0x4E00, 0x3000),), "CJK block bounds out of order: 4E00 > 3000"),
     ],
-    ids=["tab", "cr", "lf", "no-blocks"],
+    ids=["tab", "cr", "lf", "no-blocks", "reversed-block"],
 )
 def test_registry_refuses_what_no_manifest_can_hold(name, blocks, message):
     with pytest.raises(DataError) as info:
         LanguageRegistry(entries=(LanguageEntry("fkv", name, True),), cjk_blocks=blocks)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda m: {"totals": {**m.totals, "1": -3}},
+         "model fkv 1: total -3 is not a non-negative int"),
+        (lambda m: {"totals": {**m.totals, "1": 3.0}},
+         "model fkv 1: total 3.0 is not a non-negative int"),
+        (lambda m: {"totals": {**m.totals, "1": True}},
+         "model fkv 1: total True is not a non-negative int"),
+        (lambda m: {"domains": {**m.domains, "1": {"a": 9.5}}},
+         "model fkv 1: score 9.5 of 'a' outside [0, 6.301030]"),
+        (lambda m: {"domains": {**m.domains, "1": {"a": -0.5}}},
+         "model fkv 1: score -0.5 of 'a' outside [0, 6.301030]"),
+        (lambda m: {"domains": {**m.domains, "1": {"a": math.nan}}},
+         "model fkv 1: score nan of 'a' outside [0, 6.301030]"),
+        (lambda m: {"domains": {**m.domains, "1": {"a\tb": 1.0}}},
+         "model fkv 1: feature 'a\\tb' holds a tab or line break"),
+        (lambda m: {"domains": {"1": m.domains["1"]}},
+         "model fkv: domains ['1'], the params give ['1', 'word']"),
+        (lambda m: {"domains": {**m.domains, "2": {}}},
+         "model fkv: domains ['1', '2', 'word'], the params give ['1', 'word']"),
+        (lambda m: {"language": "izh"}, "model fkv: language is 'izh'"),
+    ],
+    ids=["negative-total", "float-total", "bool-total", "high-score", "negative-score", "nan-score",
+         "tab-feature", "missing-domain", "extra-domain", "other-language"],
+)
+def test_save_models_refuses_what_would_not_load_back_equal(tmp_path, change, message):
+    ms = train_models([corpus("fkv", "ab ab")], HeliParams(n_max=1), make_registry())
+    model = ms.models["fkv"]
+    edited = LanguageModel(**{**vars(model), **change(model)})
+    with pytest.raises(DataError) as info:
+        save_models(ModelSet(ms.params, {"fkv": edited}, ms.registry), tmp_path / "m")
+    assert str(info.value) == message
+    assert not (tmp_path / "m").exists()
 
 
 def test_missing_manifest_raises(tmp_path):
