@@ -8,6 +8,13 @@ renormalized afterwards. Scores are quantized to 10 significant decimal
 digits at training time, which is also the on-disk precision, so the TSV
 round-trip is bit-exact.
 
+Training counts types first: each corpus's tokens become one count per word
+type, in first-occurrence order, and each type's features are added once,
+weighted by that count. Features are thus first met in the same order as in
+a token-by-token pass, so the counts, the scores and each table's key order
+equal that pass's, while the work grows with the types, not the tokens. Each
+distinct count is scored once, and saving renders each distinct score once.
+
 Model directory layout::
 
     manifest.tsv                params, registry, file list with totals
@@ -20,7 +27,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import takewhile
+from itertools import accumulate, chain, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -105,17 +112,16 @@ def quantize_score(score: float) -> float:
     return float(f"{score:.10g}")
 
 
-def _score_counts(counts: Counter, cutoff_c: float) -> tuple[dict[str, float], int]:
+def _score_counts(counts: dict[str, int], cutoff_c: float) -> tuple[dict[str, float], int]:
+    """Scores of the features whose relative frequency reaches the cutoff, in
+    ``counts`` order, and the total; each distinct count is scored once."""
     total = sum(counts.values())
-    scores: dict[str, float] = {}
-    if total == 0:
-        return scores, 0
-    for feature, count in counts.items():
+    score_of: dict[int, float] = {}
+    for count in set(counts.values()):
         rel = count / total
-        if rel < cutoff_c:
-            continue
-        scores[feature] = 0.0 if count == total else quantize_score(-math.log10(rel))
-    return scores, total
+        if rel >= cutoff_c:
+            score_of[count] = 0.0 if count == total else quantize_score(-math.log10(rel))
+    return {f: score_of[c] for f, c in counts.items() if c in score_of}, total
 
 
 def train_models(
@@ -136,22 +142,24 @@ def train_models(
             raise DataError(f"{where}: duplicate corpus for language {code!r}, also in {seen[code]}")
         seen[code] = where
 
-    domains = params.domains()
     models: dict[str, LanguageModel] = {}
     for corpus in corpora:
-        counters: dict[str, Counter] = {d: Counter() for d in domains}
-        for sentence in corpus.sentences:
-            for word in tokenize(sentence):
-                if params.use_words:
-                    counters[WORD_DOMAIN][pad_word(word)] += 1
-                for n in range(1, params.n_max + 1):
-                    counters[str(n)].update(extract_ngrams(word, n))
+        # word types in first-occurrence order, so features are first met in token order
+        types = Counter(chain.from_iterable(map(tokenize, corpus.sentences)))
+        counts: dict[str, dict[str, int]] = {}
+        for n in range(1, params.n_max + 1):
+            table: dict[str, int] = {}
+            get = table.get
+            for word, count in types.items():
+                for gram in extract_ngrams(word, n):
+                    table[gram] = get(gram, 0) + count
+            counts[str(n)] = table
+        if params.use_words:
+            counts[WORD_DOMAIN] = {pad_word(word): count for word, count in types.items()}
         scored: dict[str, dict[str, float]] = {}
         totals: dict[str, int] = {}
-        for domain in domains:
-            scored[domain], totals[domain] = _score_counts(
-                counters[domain], params.cutoff_c
-            )
+        for domain in params.domains():
+            scored[domain], totals[domain] = _score_counts(counts[domain], params.cutoff_c)
         models[corpus.language] = LanguageModel(corpus.language, scored, totals)
     return ModelSet(params=params, models=models, registry=registry)
 
@@ -182,15 +190,19 @@ def _first_score_outside(table: dict[str, float], max_score: float) -> int | Non
     return int(outside.argmax()) if outside.any() else None
 
 
-def _check_model(code: str, model: LanguageModel, params: HeliParams) -> None:
+def _check_model(
+    code: str, model: LanguageModel, params: HeliParams
+) -> dict[str, dict[float, str]]:
     """Raise a DataError, naming the code and domain, for what ``load_models``
-    would reject or read back unequal."""
+    would reject or read back unequal; else return each domain's score texts as
+    ``save_models`` writes them, one per distinct score."""
     if model.language != code:
         raise DataError(f"model {code}: language is {model.language!r}")
     domains, max_score = params.domains(), params.max_score()
     for what, keys in (("domains", model.domains), ("totals", model.totals)):
         if set(keys) != set(domains):
             raise DataError(f"model {code}: {what} {sorted(keys)}, the params give {sorted(domains)}")
+    texts: dict[str, dict[float, str]] = {}
     for domain in domains:
         where = f"model {code} {domain}"
         total, table = model.totals[domain], model.domains[domain]
@@ -200,10 +212,21 @@ def _check_model(code: str, model: LanguageModel, params: HeliParams) -> None:
         if any(c in joined for c in "\t\r\n"):
             bad = next(f for f in table if any(c in f for c in "\t\r\n"))
             raise DataError(f"{where}: feature {bad!r} holds a tab or line break")
+        try:
+            joined.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            bad = next(f for f, end in zip(table, accumulate(map(len, table))) if end > exc.start)
+            raise DataError(f"{where}: feature {bad!r} cannot be written as UTF-8") from None
         at = _first_score_outside(table, max_score)
         if at is not None:
             feature, score = list(table.items())[at]
             raise DataError(f"{where}: score {score!r} of {feature!r} outside [0, {max_score:.6f}]")
+        texts[domain] = {score: f"{score:.10g}" for score in dict.fromkeys(table.values())}
+        for score, text in texts[domain].items():
+            if float(text) != score:
+                feature = next(f for f, s in table.items() if s == score)
+                raise DataError(f"{where}: score {score!r} of {feature!r} would load back as {text}")
+    return texts
 
 
 def save_models(model_set: ModelSet, directory) -> None:
@@ -211,16 +234,17 @@ def save_models(model_set: ModelSet, directory) -> None:
 
     Every model is checked before any file is written: one the loader would
     reject or read back unequal is a DataError naming its code and domain.
-    Scores are written to 10 significant digits, so only quantized ones
-    (all that ``train_models`` makes) load back bit-equal.
+    Scores are written to 10 significant digits, each distinct score rendered
+    once, so only quantized ones (all that ``train_models`` makes) can be saved.
     """
     if not model_set.models:  # load_models refuses a manifest without model rows
         raise DataError("a model set without models cannot be saved")
-    for code, model in model_set.models.items():
-        _check_model(code, model, model_set.params)
+    params = model_set.params
+    texts = {
+        code: _check_model(code, model, params) for code, model in model_set.models.items()
+    }
     directory = Path(directory)
     (directory / "models").mkdir(parents=True, exist_ok=True)
-    params = model_set.params
     registry = model_set.registry
 
     manifest = _manifest_header(params, registry)
@@ -230,12 +254,10 @@ def save_models(model_set: ModelSet, directory) -> None:
         for domain in params.domains():
             rel_path = _model_path(code, domain)
             manifest.append(f"model\t{code}\t{domain}\t{rel_path}\t{model.totals[domain]}")
-            lines = [
-                f"{feature}\t{score:.10g}"
-                for feature, score in sorted(model.domains[domain].items())
-            ]
+            table, text_of = model.domains[domain], texts[code][domain]
             (directory / rel_path).write_text(
-                "".join(line + "\n" for line in lines), encoding="utf-8"
+                "".join([f"{feature}\t{text_of[table[feature]]}\n" for feature in sorted(table)]),
+                encoding="utf-8",
             )
     (directory / "manifest.tsv").write_text(
         "".join(line + "\n" for line in manifest), encoding="utf-8"

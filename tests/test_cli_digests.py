@@ -2,7 +2,8 @@
 
 The models cover the five disjoint helper languages plus a CJK one; the
 stream and the crawl mix clean, code-switched, CJK, empty and letter-free
-lines. A pin changes only when an output byte does, so a change that means
+lines. The `train` pin covers every byte of the model directory. A pin
+changes only when an output byte does, so a change that means
 to alter output must say why and re-pin here.
 """
 
@@ -10,10 +11,15 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uralid
 from helpers import ALPHABETS, disjoint_sentences, make_registry
 from uralid.cli import main
 from uralid.registry import save_registry
@@ -25,6 +31,7 @@ DIGESTS = {
     "identify --scores": "21c45234cd1fbce552d04b69527c8599a18fac7a0b300980d18b74e0a3b09912",
     "identify --candidates fkv --scores": "5d5810f1b73675712381f67376cd1c62c2a83a971fb91925122a6cd728681945",
     "pipeline": "37894319f9e444d76813ab5d4956947229cc451df7dc59df9559d3decdb24a7b",
+    "train": "7f532ad90b4f4af4b363502a72bb6f4b9d6834f836384c78d0decbdfbcb0077c",
 }
 
 
@@ -54,6 +61,11 @@ def sentence(rng: random.Random) -> str:
     return rng.choice(["", "123 456", "... !", "  "])
 
 
+def train_argv(root: Path, out: Path) -> list[str]:
+    return ["train", "--registry", str(root / "registry.tsv"), "--corpora", str(root / "corpora"),
+            "--out", str(out), "--n-max", "4"]
+
+
 @pytest.fixture(scope="module")
 def seeded(tmp_path_factory):
     root = tmp_path_factory.mktemp("digests")
@@ -69,8 +81,7 @@ def seeded(tmp_path_factory):
         "\n".join(cjk_sentence(rng) for _ in range(40)) + "\n", encoding="utf-8"
     )
     models = root / "models"
-    argv = ["train", "--registry", str(registry), "--corpora", str(corpora), "--out", str(models)]
-    assert main(argv + ["--n-max", "4"]) == 0
+    assert main(train_argv(root, models)) == 0
 
     stream = root / "stream.txt"
     stream.write_text("\n".join(sentence(rng) for _ in range(400)) + "\n", encoding="utf-8")
@@ -91,6 +102,30 @@ def seeded(tmp_path_factory):
 
 def sha256(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+
+def directory_sha256(directory: Path) -> str:
+    """sha256 over every file's relative path and bytes, in path order."""
+    sha = hashlib.sha256()
+    for file in sorted(p for p in directory.rglob("*") if p.is_file()):
+        sha.update(file.relative_to(directory).as_posix().encode())
+        sha.update(file.read_bytes())
+    return sha.hexdigest()
+
+
+def test_train_model_bytes_are_pinned(seeded):
+    assert directory_sha256(seeded["models"]) == DIGESTS["train"]
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_train_bytes_do_not_follow_the_hash_seed(seeded, hash_seed):
+    out = seeded["root"] / f"models-hashseed-{hash_seed}"
+    src = str(Path(uralid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "uralid", *train_argv(seeded["root"], out)],
+                          capture_output=True, text=True, encoding="utf-8", env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert directory_sha256(out) == DIGESTS["train"]
 
 
 @pytest.mark.parametrize("name", ["identify --scores", "identify --candidates fkv --scores"])

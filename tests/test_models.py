@@ -2,17 +2,19 @@ import math
 import random
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_registry, random_model_set, random_sentence, to_oracle_models
+from helpers import make_registry, random_model_set, random_word, to_oracle_models
 from oracle import oracle_train
 from uralid.cli import main
 from uralid.corpus import Corpus
 from uralid.errors import DataError
+from uralid.features import WORD_DOMAIN, extract_ngrams, pad_word, tokenize
 from uralid.models import (
     HeliParams,
     LanguageModel,
@@ -111,27 +113,73 @@ def test_empty_corpus_trains_empty_model():
     assert all(total == 0 for total in model.totals.values())
 
 
+def reference_train(corpora, params, registry):
+    """Training as a per-token loop: every n-gram of every token counted one at a
+    time, every feature scored on its own. ``train_models`` must give back the same
+    scores, totals and key order."""
+    models = {}
+    for corpus in corpora:
+        counters = {domain: Counter() for domain in params.domains()}
+        for sentence in corpus.sentences:
+            for word in tokenize(sentence):
+                if params.use_words:
+                    counters[WORD_DOMAIN][pad_word(word)] += 1
+                for n in range(1, params.n_max + 1):
+                    counters[str(n)].update(extract_ngrams(word, n))
+        scored, totals = {}, {}
+        for domain, counts in counters.items():
+            total = totals[domain] = sum(counts.values())
+            scored[domain] = {
+                feature: 0.0 if count == total else quantize_score(-math.log10(count / total))
+                for feature, count in counts.items()
+                if count / total >= params.cutoff_c
+            }
+        models[corpus.language] = LanguageModel(corpus.language, scored, totals)
+    return ModelSet(params, models, registry)
+
+
+NO_POOL_SENTENCES = ["", "  ", "123 456", "... !", "日本語 東京", "中文漢字 日本語 東京"]
+
+
+def pooled_sentence(rng: random.Random, pool: list[str]) -> str:
+    """Words drawn from a small pool, so types repeat; some capitalized or glued by
+    punctuation; now and then an empty, letter-free or CJK line instead."""
+    if rng.random() < 0.2:
+        return rng.choice(NO_POOL_SENTENCES)
+    words = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+    words = [w.capitalize() if rng.random() < 0.2 else w for w in words]
+    return "".join(w + rng.choice([" ", ", ", "-", "1"]) for w in words)
+
+
 def test_training_matches_bruteforce_counting():
     rng = random.Random(20)
     reg = make_registry()
-    for _ in range(25):
+    repeated_types = 0
+    for _ in range(40):
         codes = rng.sample(reg.codes(), rng.randint(1, 3))
         params = HeliParams(
             n_max=rng.randint(1, 4),
-            cutoff_c=rng.choice([5e-7, 0.02, 0.1]),
+            cutoff_c=rng.choice([5e-7, 0.02, 0.1, 0.25]),
             use_words=rng.random() < 0.5,
         )
-        text = {
-            code: [random_sentence(rng) for _ in range(rng.randint(1, 8))]
-            for code in codes
-        }
-        ms = train_models(
-            [Corpus(language=c, sentences=tuple(s)) for c, s in text.items()],
-            params,
-            reg,
-        )
-        expected = oracle_train(text, params.n_max, params.cutoff_c, params.use_words)
-        assert to_oracle_models(ms) == expected
+        text = {}
+        for code in codes:
+            pool = [random_word(rng, 6) for _ in range(rng.randint(1, 6))] + ["日本"]
+            text[code] = [pooled_sentence(rng, pool) for _ in range(rng.randint(0, 12))]
+        corpora = [Corpus(language=c, sentences=tuple(s)) for c, s in text.items()]
+        ms = train_models(corpora, params, reg)
+        assert to_oracle_models(ms) == oracle_train(text, params.n_max, params.cutoff_c, params.use_words)
+        reference = reference_train(corpora, params, reg)
+        assert list(ms.models) == list(reference.models)
+        for code, model in ms.models.items():
+            want = reference.models[code]
+            assert list(model.totals.items()) == list(want.totals.items())
+            assert list(model.domains) == list(want.domains)
+            for domain, table in model.domains.items():
+                assert list(table.items()) == list(want.domains[domain].items())
+            types = Counter(w for s in text[code] for w in tokenize(s))
+            repeated_types += sum(count > 1 for count in types.values())
+    assert repeated_types > 100
 
 
 def test_replication_invariance_quick():
@@ -295,8 +343,14 @@ def test_registry_refuses_what_no_manifest_can_hold(name, blocks, message):
          "model fkv 1: score -0.5 of 'a' outside [0, 6.301030]"),
         (lambda m: {"domains": {**m.domains, "1": {"a": math.nan}}},
          "model fkv 1: score nan of 'a' outside [0, 6.301030]"),
+        (lambda m: {"domains": {**m.domains, "1": {"a": 1 / 3}}},
+         "model fkv 1: score 0.3333333333333333 of 'a' would load back as 0.3333333333"),
+        (lambda m: {"domains": {**m.domains, "1": {"a": 0.5, "b": 0.30102999566398120}}},
+         "model fkv 1: score 0.3010299956639812 of 'b' would load back as 0.3010299957"),
         (lambda m: {"domains": {**m.domains, "1": {"a\tb": 1.0}}},
          "model fkv 1: feature 'a\\tb' holds a tab or line break"),
+        (lambda m: {"domains": {**m.domains, "1": {"a": 1.0, "b\ud800": 1.0}}},
+         "model fkv 1: feature 'b\\ud800' cannot be written as UTF-8"),
         (lambda m: {"domains": {"1": m.domains["1"]}},
          "model fkv: domains ['1'], the params give ['1', 'word']"),
         (lambda m: {"domains": {**m.domains, "2": {}}},
@@ -304,7 +358,8 @@ def test_registry_refuses_what_no_manifest_can_hold(name, blocks, message):
         (lambda m: {"language": "izh"}, "model fkv: language is 'izh'"),
     ],
     ids=["negative-total", "float-total", "bool-total", "high-score", "negative-score", "nan-score",
-         "tab-feature", "missing-domain", "extra-domain", "other-language"],
+         "rounded-score", "unquantized-log", "tab-feature", "lone-surrogate", "missing-domain",
+         "extra-domain", "other-language"],
 )
 def test_save_models_refuses_what_would_not_load_back_equal(tmp_path, change, message):
     ms = train_models([corpus("fkv", "ab ab")], HeliParams(n_max=1), make_registry())
