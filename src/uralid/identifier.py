@@ -15,19 +15,18 @@ candidate is pushed out of contention by a large constant.
 
 Words are scored in batches: ``Scorer.score_words`` looks each distinct
 word up in the word cache once and walks the backoff order over the rest,
-one kernel call per feature domain for every word still unresolved there
-(see ``backend`` for the kernel contract). A word's scores do not depend on
-the batch. Both means add their terms in order through one rule,
-``backend.running_sums``: a word's feature scores in the kernel and a
-sentence's word rows in ``Scorer.score_sentences``, so every score equals
-the plain left-to-right loop bit for bit. ``Scorer.predict`` turns a chunk
-of sentences into predictions from one such batch, applying the CJK rule
-and picking winners over the chunk's score rows at once.
-``Scorer.predictions`` streams them, one ``predict`` call per chunk of
-``_CHUNK_SIZE``, and ``Scorer.word_winners`` streams per-word winners over
-the same chunks, so a caller holds one chunk's results at a time. Every
-entry point takes its candidates through ``Scorer.candidate_rows``, which
-accepts only codes that have a model.
+one step per feature domain for every word still unresolved there. A
+word's scores do not depend on the batch. Both means add their terms in
+order through one rule, ``running_sums``: a word's feature scores in a
+domain step and a sentence's word rows in ``Scorer.score_sentences``, so
+every score equals the plain left-to-right loop bit for bit.
+``Scorer.predict`` turns a chunk of sentences into predictions from one
+such batch, applying the CJK rule and picking winners over the chunk's
+score rows at once. ``Scorer.predictions`` streams them, one ``predict``
+call per chunk of ``_CHUNK_SIZE``, and ``Scorer.word_winners`` streams
+per-word winners over the same chunks, so a caller holds one chunk's
+results at a time. Every entry point takes its candidates through
+``Scorer.candidate_rows``, which accepts only codes that have a model.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .backend import kernel, running_sums
 from .features import WORD_DOMAIN, extract_ngrams, pad_word, tokenize
 from .models import ModelSet
 from .registry import DEFAULT_CJK_BLOCKS, LanguageRegistry
@@ -68,6 +66,29 @@ def _chunks(items: list) -> Iterator[list]:
     """Consecutive slices of ``_CHUNK_SIZE`` items, the size read at call time."""
     size = _CHUNK_SIZE
     return (items[start : start + size] for start in range(0, len(items), size))
+
+
+def running_sums(rows, index, starts, counts):
+    """Per segment ``i``, the sum of ``rows[index[j]]`` over
+    ``starts[i] <= j < starts[i] + counts[i]``, added in that order from 0.0 as
+    ``acc += row`` adds them; a segment without terms sums to zeros.
+
+    Segments are visited longest first, so those that still have terms are a
+    prefix and each step adds one gathered row per live segment into a view;
+    the temporaries stay the size of the result.
+    """
+    order = np.argsort(-counts, kind="stable")
+    starts, counts = starts[order], counts[order]
+    sums = np.zeros((counts.shape[0], rows.shape[1]), dtype=np.float64)
+    live = np.count_nonzero(counts)
+    k = 0
+    while live:
+        sums[:live] += rows[index[starts[:live] + k]]
+        k += 1
+        live = np.count_nonzero(counts[:live] > k)
+    result = np.empty_like(sums)
+    result[order] = sums
+    return result
 
 
 def cjk_ratio(text: str, blocks=DEFAULT_CJK_BLOCKS) -> float:
@@ -100,15 +121,15 @@ def apply_cjk_sanity(
 
 
 class Scorer:
-    """Array form of a ModelSet plus the kernel that scores words with it.
+    """Array form of a ModelSet, and the word and sentence scoring over it.
 
     Per domain, a vocabulary maps feature strings to columns, and the
     stored scores are kept in compressed sparse column form: column ``j``
     owns the entries of ``_rows[domain]`` (registry rows, ascending) and
     ``_scores[domain]`` from ``_indptr[domain][j]`` up to ``[j + 1]``, so
     memory grows with the stored features, not languages times vocabulary.
-    Each batch densifies only the columns it uses for the kernel, absent
-    entries at the -1 sentinel. Word scores are memoized per candidate set.
+    Each domain step tables only the columns its batch uses, over the
+    candidates alone. Word scores are memoized per candidate set.
     The scorer keeps the modeled codes, not the ModelSet that caches it, so
     the two form no reference cycle.
     """
@@ -165,24 +186,15 @@ class Scorer:
         rows = np.array([self.registry.index(c) for c in codes], dtype=np.int64)
         return rows, codes
 
-    def _densify(self, domain: str, used: np.ndarray) -> np.ndarray:
-        """Block of the vocabulary columns ``used`` over all registry rows, absent at -1.0."""
-        indptr = self._indptr[domain]
-        starts = indptr[used]
-        lengths = indptr[used + 1] - starts
-        columns = np.repeat(np.arange(used.shape[0]), lengths)
-        # the used columns' stored entries, in order: the k-th of column j is at starts[j] + k
-        entries = np.arange(columns.shape[0]) + (starts - (lengths.cumsum() - lengths))[columns]
-        block = np.full((len(self.registry), used.shape[0]), -1.0, dtype=np.float64)
-        block[self._rows[domain][entries], columns] = self._scores[domain][entries]
-        return block
-
     def _score_new(
         self, words: list[str], rows: np.ndarray
     ) -> list[tuple[np.ndarray, str | None]]:
         """Scores and domain of distinct uncached words, by backoff over the batch."""
         results: list[tuple[np.ndarray, str | None] | None] = [None] * len(words)
         unresolved = list(range(len(words)))
+        # registry row -> candidate position, -1 outside the candidate set
+        position = np.full(len(self.registry), -1, dtype=np.int64)
+        position[rows] = np.arange(rows.shape[0])
         for domain in self._backoff:
             n = None if domain == WORD_DOMAIN else int(domain)
             get = self._vocabs[domain].get
@@ -197,17 +209,28 @@ class Scorer:
             if not batch:
                 continue
             count_array = np.array(counts, dtype=np.int64)
+            offsets = count_array.cumsum() - count_array
             ids = np.array(ids, dtype=np.int64)
             known = ids >= 0
             used, ids[known] = np.unique(ids[known], return_inverse=True)
-            scores, usable = kernel(
-                ids,
-                count_array.cumsum() - count_array,
-                count_array,
-                self._densify(domain, used),
-                rows,
-                self.penalty,
-            )
+            # the used columns' stored entries, in order: the k-th of column j is at starts[j] + k
+            indptr = self._indptr[domain]
+            starts = indptr[used]
+            lengths = indptr[used + 1] - starts
+            columns = np.repeat(np.arange(used.shape[0]), lengths)
+            entries = np.arange(columns.shape[0]) + (starts - (lengths.cumsum() - lengths))[columns]
+            candidate = position[self._rows[domain][entries]]
+            kept = candidate >= 0
+            columns = columns[kept]
+            # one row per used column, then feature id -1's row; the penalty where no
+            # candidate stores a score, and a flag on the rows some candidate stores
+            table = np.full((used.shape[0] + 1, rows.shape[0]), self.penalty)
+            table[columns, candidate[kept]] = self._scores[domain][entries[kept]]
+            stored = np.zeros(used.shape[0] + 1, dtype=bool)
+            stored[columns] = True
+            usable = np.logical_or.reduceat(stored[ids], offsets)
+            scores = running_sums(table, ids, offsets, count_array)
+            scores /= count_array[:, None]
             scores.setflags(write=False)
             for j, (i, found) in enumerate(zip(batch, usable.tolist())):
                 if found:
@@ -228,7 +251,7 @@ class Scorer:
         """Memoized (scores, domain) of each word for the given candidate rows.
 
         Each distinct word is looked up in the cache once; those missing are
-        scored together, one kernel call per feature domain they reach.
+        scored together, one step per feature domain they reach.
         Score arrays are read-only.
         """
         key = rows.tobytes()

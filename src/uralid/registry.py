@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import DataError, read_utf8, split_records
 
-_CODE_RE = re.compile(r"^[a-z]{3}$")
+_CODE_RE = re.compile(r"[a-z]{3}")
 
 # Unified Ideographs, Extension A, Hiragana, Katakana, Hangul syllables and
 # Jamo. CJK punctuation (U+3000..U+303F) is deliberately not counted.
@@ -61,10 +61,14 @@ class LanguageRegistry:
                 raise DataError(f"CJK block bounds out of order: {lo:04X} > {hi:04X}")
         index: dict[str, int] = {}
         for i, entry in enumerate(self.entries):
-            if not _CODE_RE.match(entry.code):
+            if not _CODE_RE.fullmatch(entry.code):
                 raise DataError(f"invalid language code {entry.code!r}")
             if any(c in entry.name for c in "\t\r\n"):
                 raise DataError(f"language name {entry.name!r} holds a tab or line break")
+            try:
+                entry.name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"language name {entry.name!r} is not encodable as UTF-8") from None
             if entry.code in index:
                 raise DataError(f"duplicate language code {entry.code!r}")
             index[entry.code] = i
@@ -143,7 +147,7 @@ def parse_registry(text: str, source="<string>") -> LanguageRegistry:
                 f"got {len(fields)}"
             )
         code = fields[0]
-        if not _CODE_RE.match(code):
+        if not _CODE_RE.fullmatch(code):
             raise DataError(f"{source}:{lineno}: bad language code {code!r}")
         if code in seen:
             raise DataError(f"{source}:{lineno}: duplicate language code {code!r}")

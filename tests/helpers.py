@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 import string
 
+import numpy as np
+
 from uralid.corpus import Corpus
-from uralid.models import HeliParams, ModelSet, train_models
+from uralid.models import HeliParams, LanguageModel, ModelSet, train_models
 from uralid.registry import LanguageEntry, LanguageRegistry
 
 # Five synthetic languages over pairwise disjoint alphabets. Any word built
@@ -57,6 +59,18 @@ def disjoint_model_set(
     return train_models(corpora, params or HeliParams(n_max=3), registry)
 
 
+def hand_model_set(tables: dict[str, dict[str, dict[str, float]]], n_max=2, use_words=True):
+    """Build a ModelSet straight from feature->score tables, no training."""
+    registry = make_registry()
+    params = HeliParams(n_max=n_max, use_words=use_words)
+    models = {}
+    for code, domains in tables.items():
+        full = {d: dict(domains.get(d, {})) for d in params.domains()}
+        totals = {d: len(full[d]) for d in params.domains()}
+        models[code] = LanguageModel(code, full, totals)
+    return ModelSet(params=params, models=models, registry=registry)
+
+
 def random_word(rng: random.Random, max_len: int = 8) -> str:
     return "".join(rng.choice(string.ascii_lowercase[:10]) for _ in range(rng.randint(1, max_len)))
 
@@ -90,3 +104,12 @@ def random_model_set(rng: random.Random, max_langs: int = 5, registry=None) -> M
 
 def to_oracle_models(model_set: ModelSet) -> dict[str, dict[str, dict[str, float]]]:
     return {code: dict(model.domains) for code, model in model_set.models.items()}
+
+
+def dense_matrix(ms: ModelSet, vocab: dict[str, int], domain: str) -> np.ndarray:
+    """The (registry, vocabulary) matrix of one domain, absent features at -1."""
+    matrix = np.full((len(ms.registry), len(vocab)), -1.0, dtype=np.float64)
+    for code, model in ms.models.items():
+        for feature, score in model.domains[domain].items():
+            matrix[ms.registry.index(code), vocab[feature]] = score
+    return matrix

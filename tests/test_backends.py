@@ -1,3 +1,5 @@
+"""The scorer's arithmetic against plain loops, bit for bit."""
+
 import random
 import tracemalloc
 
@@ -5,13 +7,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_model_set
-from uralid.backend import kernel, running_sums
-from uralid.identifier import Scorer
+from helpers import dense_matrix, hand_model_set, random_model_set
+from uralid.features import WORD_DOMAIN, extract_ngrams, pad_word
+from uralid.identifier import Scorer, running_sums
 
 
 def reference_kernel(feature_ids, offsets, counts, score_matrix, candidate_rows, penalty):
-    """The kernel contract as a plain loop: one word, one candidate, one feature at a time."""
+    """One domain's word scores as a plain loop: one word, one candidate, one feature at a time.
+
+    ``score_matrix`` holds a score per registry row and vocabulary column,
+    -1 where none is stored; a feature id of -1 is out of the vocabulary.
+    A word is usable if any candidate stores any of its features.
+    """
     n_words = counts.shape[0]
     n_rows = candidate_rows.shape[0]
     scores = np.empty((n_words, n_rows), dtype=np.float64)
@@ -37,77 +44,56 @@ def reference_kernel(feature_ids, offsets, counts, score_matrix, candidate_rows,
     return scores, usable
 
 
-def random_kernel_case(rng):
-    n_rows = rng.randint(1, 6)
-    n_cols = rng.randint(1, 12)
-    matrix = np.full((n_rows, n_cols), -1.0)
-    for i in range(n_rows):
-        for j in range(n_cols):
-            if rng.random() < 0.6:
-                matrix[i, j] = rng.uniform(0.0, 6.3)
-    ids = np.array(
-        [rng.choice([-1] + list(range(n_cols))) for _ in range(rng.randint(1, 10))],
-        dtype=np.int64,
-    )
-    rows = np.array(
-        sorted(rng.sample(range(n_rows), rng.randint(1, n_rows))), dtype=np.int64
-    )
-    return ids, matrix, rows
+def reference_word(model_set, word, rows):
+    """(scores, domain) of one word: ``reference_kernel`` in the first usable domain, by backoff."""
+    params = model_set.params
+    backoff = ([WORD_DOMAIN] if params.use_words else []) + [
+        str(n) for n in range(params.n_max, 0, -1)
+    ]
+    for domain in backoff:
+        features = sorted({f for m in model_set.models.values() for f in m.domains[domain]})
+        vocab = {feature: j for j, feature in enumerate(features)}
+        grams = [pad_word(word)] if domain == WORD_DOMAIN else extract_ngrams(word, int(domain))
+        if not grams:
+            continue
+        ids = np.array([vocab.get(g, -1) for g in grams], dtype=np.int64)
+        offsets, counts = np.array([0]), np.array([ids.shape[0]])
+        matrix = dense_matrix(model_set, vocab, domain)
+        scores, usable = reference_kernel(ids, offsets, counts, matrix, rows, float(params.penalty_p))
+        if usable[0]:
+            return scores[0], domain
+    return np.full(rows.shape[0], float(params.penalty_p)), None
 
 
-def batch_of(word_ids):
-    """Kernel arguments (feature_ids, offsets, counts) for a list of words' id lists."""
-    counts = np.array([len(ids) for ids in word_ids], dtype=np.int64)
-    feature_ids = np.array([i for ids in word_ids for i in ids], dtype=np.int64)
-    return feature_ids, np.cumsum(counts) - counts, counts
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_word_scores_equal_the_reference_kernel_in_the_first_usable_domain(seed, data):
+    # models cover the letters a-j only, so "z" and "ä" give features no model stores
+    model_set = random_model_set(random.Random(seed))
+    word = st.text(alphabet="abcdefghijzä", min_size=1, max_size=10)
+    words = data.draw(st.lists(word, min_size=1, max_size=12))
+    codes = data.draw(st.sets(st.sampled_from(sorted(model_set.models)), min_size=1))
+    scorer = Scorer(model_set)
+    rows, _ = scorer.candidate_rows(codes)
+    for word, (scores, domain) in zip(words, scorer.score_words(words, rows)):
+        expected, expected_domain = reference_word(model_set, word, rows)
+        assert domain == expected_domain
+        assert scores.tobytes() == expected.tobytes()
 
 
-def test_kernels_agree_on_random_cases():
-    rng = random.Random(123)
-    for _ in range(300):
-        ids, matrix, rows = random_kernel_case(rng)
-        out, usable = kernel(*batch_of([ids]), matrix, rows, 7.0)
-        out_ref, usable_ref = reference_kernel(*batch_of([ids]), matrix, rows, 7.0)
-        assert usable.tolist() == usable_ref.tolist()
-        assert out.tobytes() == out_ref.tobytes()
-
-
-def test_kernels_fill_penalty_when_nothing_known():
-    ids = [-1, -1]
-    matrix = np.array([[1.0]])
-    rows = np.array([0], dtype=np.int64)
-    for score in (kernel, reference_kernel):
-        out, usable = score(*batch_of([ids]), matrix, rows, 7.0)
-        assert not usable[0]
-        assert out[0, 0] == 7.0
-
-
-@st.composite
-def kernel_batches(draw):
-    """A score matrix, candidate rows, words' feature ids and an order of the words."""
-    n_rows = draw(st.integers(1, 6))
-    n_cols = draw(st.integers(1, 12))
-    cell = st.one_of(st.just(-1.0), st.floats(0.0, 6.3))
-    matrix = np.array(draw(st.lists(
-        st.lists(cell, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows
-    )))
-    rows = np.array(sorted(draw(st.sets(st.integers(0, n_rows - 1), min_size=1))), dtype=np.int64)
-    words = draw(st.lists(
-        st.lists(st.integers(-1, n_cols - 1), min_size=1, max_size=10), min_size=1, max_size=10
-    ))
-    order = draw(st.permutations(range(len(words))))
-    return matrix, rows, words, order
-
-
-@settings(max_examples=180, deadline=None)
-@given(case=kernel_batches())
-def test_kernel_results_do_not_depend_on_the_batch(case):
-    matrix, rows, words, order = case
-    batch_scores, batch_usable = kernel(*batch_of([words[w] for w in order]), matrix, rows, 7.0)
-    for position, w in enumerate(order):
-        alone, alone_usable = kernel(*batch_of([words[w]]), matrix, rows, 7.0)
-        assert batch_scores[position].tobytes() == alone[0].tobytes()
-        assert batch_usable[position] == alone_usable[0]
+def test_a_word_no_candidate_knows_gets_the_penalty_row_and_no_domain():
+    # no model has a feature of "zz"; only izh, outside the candidate set, stores some of "ja"
+    model_set = hand_model_set({
+        "fkv": {"word": {" talo ": 0.3}, "1": {"t": 0.5}},
+        "izh": {"2": {"ja": 0.5}, "1": {"j": 1.0}},
+    })
+    scorer = Scorer(model_set)
+    rows, _ = scorer.candidate_rows(["fkv"])
+    for scores, domain in scorer.score_words(["zz", "ja"], rows):
+        assert domain is None
+        assert scores.tobytes() == np.full(1, 7.0).tobytes()
+    rows, _ = scorer.candidate_rows(["fkv", "izh"])
+    assert scorer.score_word("ja", rows)[1] == "2"
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,23 +118,22 @@ def test_running_sums_equal_an_in_order_loop(rows, data):
         assert total.tobytes() == acc.tobytes()
 
 
-def test_kernel_memory_stays_within_a_few_outputs():
-    # 20,000 words of 8 features each, over 55 candidates and 4,096 columns: a
-    # gather of every feature of the batch at once would alone take 8 outputs
+def test_running_sums_memory_stays_within_two_and_a_half_outputs():
+    # 20,000 segments of 1-11 terms over 55 columns: a copy of the live sums
+    # at each step, or a gather of every term at once, would exceed the bound
     rng = np.random.default_rng(5)
-    n_words, n_rows, n_cols, k = 20_000, 55, 4_096, 8
-    matrix = rng.uniform(0.0, 6.3, (n_rows, n_cols))
-    matrix[rng.random((n_rows, n_cols)) < 0.5] = -1.0
-    feature_ids = rng.integers(-1, n_cols, n_words * k)
-    counts = np.full(n_words, k, dtype=np.int64)
-    rows = np.arange(n_rows, dtype=np.int64)
+    n_segments, n_cols = 20_000, 55
+    rows = rng.uniform(0.0, 6.3, (4_096, n_cols))
+    counts = rng.integers(1, 12, n_segments)
+    index = rng.integers(0, rows.shape[0], int(counts.sum()))
+    starts = counts.cumsum() - counts
     tracemalloc.start()
     try:
-        scores, _ = kernel(feature_ids, counts.cumsum() - counts, counts, matrix, rows, 7.0)
+        sums = running_sums(rows, index, starts, counts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * scores.nbytes
+    assert peak <= 2.5 * sums.nbytes
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,4 +151,3 @@ def test_word_scores_do_not_depend_on_the_batch(seed, data):
         alone, alone_domain = solo.score_word(word, rows)
         assert domain == alone_domain
         assert scores.tobytes() == alone.tobytes()
-

@@ -12,6 +12,7 @@ from helpers import (
     ALPHABETS,
     disjoint_model_set,
     disjoint_sentences,
+    hand_model_set,
     make_registry,
     random_model_set,
     random_sentence,
@@ -33,18 +34,6 @@ from uralid.identifier import (
 )
 from uralid.models import HeliParams, LanguageModel, ModelSet, train_models
 from uralid.pipeline import restricted_candidates
-
-
-def hand_model_set(tables: dict[str, dict[str, dict[str, float]]], n_max=2, use_words=True):
-    """Build a ModelSet straight from feature->score tables, no training."""
-    registry = make_registry()
-    params = HeliParams(n_max=n_max, use_words=use_words)
-    models = {}
-    for code, domains in tables.items():
-        full = {d: dict(domains.get(d, {})) for d in params.domains()}
-        totals = {d: len(full[d]) for d in params.domains()}
-        models[code] = LanguageModel(code, full, totals)
-    return ModelSet(params=params, models=models, registry=registry)
 
 
 def test_word_domain_uses_stored_score_and_penalty():
@@ -530,15 +519,6 @@ def test_word_score_cache_returns_consistent_results():
 # --- sparse layout -----------------------------------------------------------
 
 
-def dense_matrix(ms: ModelSet, vocab: dict[str, int], domain: str) -> np.ndarray:
-    """The (registry, vocabulary) matrix of one domain, absent features at -1."""
-    matrix = np.full((len(ms.registry), len(vocab)), -1.0, dtype=np.float64)
-    for code, model in ms.models.items():
-        for feature, score in model.domains[domain].items():
-            matrix[ms.registry.index(code), vocab[feature]] = score
-    return matrix
-
-
 def test_sparse_layout_densifies_to_the_dense_matrix():
     # random model sets leave registered languages without a model, switch
     # the word domain off, and at cutoff 0.05 leave some domains near-empty
@@ -549,16 +529,11 @@ def test_sparse_layout_densifies_to_the_dense_matrix():
         for domain in ms.params.domains():
             vocab = scorer._vocabs[domain]
             assert set(vocab) == {f for m in ms.models.values() for f in m.domains[domain]}
-            dense = dense_matrix(ms, vocab, domain)
-            every = np.arange(len(vocab))
-            assert scorer._densify(domain, every).tobytes() == dense.tobytes()
-            some = np.array(sorted(rng.sample(range(len(vocab)), len(vocab) // 2)), dtype=np.int64)
-            assert scorer._densify(domain, some).tobytes() == dense[:, some].tobytes()
+    # test_backends.py checks the stored scores against dense_matrix, through the word scores
     # a domain no model has features in stores nothing and is backed off from
     ms = hand_model_set({"fkv": {"2": {"ja": 0.5}}, "izh": {}}, n_max=3)
     scorer = Scorer(ms)
     assert scorer._indptr["3"].tolist() == [0] and scorer._rows["3"].size == 0
-    assert scorer._densify("3", np.arange(0)).shape == (len(ms.registry), 0)
     assert score_word("ja", ms)[1] == "2"
 
 

@@ -115,6 +115,18 @@ def test_constructor_rejects_duplicates_and_bad_codes():
         LanguageRegistry(entries=(LanguageEntry("Vep", "a", True),))
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (LanguageEntry("fkv\n", "Kven", True), "invalid language code"),
+        (LanguageEntry("fkv", "K\ud800", True), "not encodable as UTF-8"),
+    ],
+)
+def test_constructor_rejects_what_save_models_cannot_write(entry, message):
+    with pytest.raises(DataError, match=message):
+        LanguageRegistry(entries=(entry,))
+
+
 def test_default_registry_shape():
     reg = default_registry()
     assert len(reg.relevant_codes()) == 29
