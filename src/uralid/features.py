@@ -1,8 +1,13 @@
 """Tokenization and character n-gram extraction.
 
 Only lowercased alphabetic characters reach the models: the input is
-Unicode-lowercased and every maximal run of letters (Unicode category L*)
+Unicode-lowercased and every maximal run of letters (``str.isalpha``)
 becomes one word; everything else separates words and is discarded.
+``tokenize`` does this with one ``str.translate`` over a table that maps a
+letter to itself and any other code point to a space, then splits on the
+spaces. The table fills in as code points are met and stops growing at
+``_TABLE_LIMIT`` entries, so input of many distinct code points cannot make
+it large; code points past the limit are classified each time they occur.
 
 Words are padded with exactly one space on each side before n-grams are
 taken, so boundary n-grams are distinguishable from word-internal ones.
@@ -11,14 +16,29 @@ The word-level feature of ``kala`` is the padded string ``" kala "``.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 WORD_DOMAIN = "word"
+
+# Code points the tokenizer's translation table remembers. The table only
+# memoizes a function of the code point, so sharing it changes no result.
+_TABLE_LIMIT = 1 << 16
+
+
+class _Separators(dict):
+    """``str.translate`` table: a letter to itself, any other code point to a space."""
+
+    def __missing__(self, cp: int) -> int | str:
+        value = cp if chr(cp).isalpha() else " "
+        if len(self) < _TABLE_LIMIT:
+            self[cp] = value
+        return value
+
+
+_SEPARATORS = _Separators()
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into maximal alphabetic runs."""
-    return ["".join(run) for is_alpha, run in groupby(text.lower(), key=str.isalpha) if is_alpha]
+    return text.lower().translate(_SEPARATORS).split()
 
 
 def pad_word(word: str) -> str:

@@ -22,18 +22,20 @@ domain step and a sentence's word rows in ``Scorer.score_sentences``, so
 every score equals the plain left-to-right loop bit for bit.
 ``Scorer.predict`` turns a chunk of sentences into predictions from one
 such batch, applying the CJK rule and picking winners over the chunk's
-score rows at once. ``Scorer.predictions`` streams them, one ``predict``
-call per chunk of ``_CHUNK_SIZE``, and ``Scorer.word_winners`` streams
-per-word winners over the same chunks, so a caller holds one chunk's
-results at a time. Every entry point takes its candidates through
-``Scorer.candidate_rows``, which accepts only codes that have a model.
+score rows at once. A ``Prediction`` holds its winner, the chunk's candidate
+codes and a read-only view of its score row; the ``scores`` dict and the
+``domain_trace`` are built only when read. ``Scorer.predictions`` streams
+them, one ``predict`` call per chunk of ``_CHUNK_SIZE``, and
+``Scorer.word_winners`` streams per-word winners over the same chunks, so a
+caller holds one chunk's results at a time. Every entry point takes its
+candidates through ``Scorer.candidate_rows``, which accepts only codes that
+have a model.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -53,13 +55,50 @@ _CACHE_LIMIT = 1 << 20
 _CHUNK_SIZE = 256
 
 
-@dataclass(frozen=True)
 class Prediction:
-    """Result of identifying one sentence."""
+    """Result of identifying one sentence.
 
-    winner: str
-    scores: dict[str, float]
-    domain_trace: tuple[tuple[str, str | None], ...]
+    ``winner`` is the chosen code, ``codes`` the candidates in registry order
+    (one list shared by a chunk's predictions) and ``row`` a read-only view of
+    the sentence's score per code, after the CJK rule. ``scores`` (code to
+    score, in ``codes`` order) and ``domain_trace`` (each token with the
+    feature domain that decided it, ``None`` for none) are built on access.
+    Two predictions are equal when their winners, codes, scores and traces are.
+    """
+
+    __slots__ = ("winner", "codes", "row", "_best", "_words", "_entries", "_start")
+
+    def __init__(self, codes, row, best, words, entries, start):
+        self.winner = codes[best]
+        self.codes = codes
+        self.row = row
+        self._best = best
+        # the sentence's tokens, and its words' (scores, domain) from entries[start:]
+        self._words = words
+        self._entries = entries
+        self._start = start
+
+    @property
+    def scores(self) -> dict[str, float]:
+        return dict(zip(self.codes, self.row.tolist()))
+
+    @property
+    def domain_trace(self) -> tuple[tuple[str, str | None], ...]:
+        entries = self._entries[self._start : self._start + len(self._words)]
+        return tuple((word, domain) for word, (_, domain) in zip(self._words, entries))
+
+    def __eq__(self, other):
+        if not isinstance(other, Prediction):
+            return NotImplemented
+        return (
+            self.winner == other.winner
+            and self.codes == other.codes
+            and np.array_equal(self.row, other.row)
+            and self.domain_trace == other.domain_trace
+        )
+
+    def __repr__(self) -> str:
+        return f"Prediction(winner={self.winner!r}, scores={self.scores!r})"
 
 
 def _chunks(items: list) -> Iterator[list]:
@@ -272,21 +311,20 @@ class Scorer:
 
     def score_sentences(
         self, tokens: list[list[str]], rows: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[tuple[str, str | None], ...]]]:
-        """Mean word-score row and (word, domain) trace of each token list.
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, str | None]]]:
+        """Mean word-score row of each token list, and every token's (scores, domain).
 
         A sentence's word rows are added by ``running_sums``, in word order
         as ``acc += row`` adds them, then divided by its token count; an
-        empty list gets the penalty row.
+        empty list gets the penalty row. The entries run over all the
+        tokens in order, as ``score_words`` returns them.
         """
         entries = self.score_words(list(chain.from_iterable(tokens)), rows)
         counts = np.array([len(words) for words in tokens], dtype=np.int64)
         table = np.array([scores for scores, _ in entries]).reshape(len(entries), rows.shape[0])
         sums = running_sums(table, np.arange(len(entries)), counts.cumsum() - counts, counts)
-        domains = iter(entries)
-        traces = [tuple((word, next(domains)[1]) for word in words) for words in tokens]
         means = sums / np.maximum(counts, 1)[:, None]
-        return np.where(counts[:, None] > 0, means, self.penalty), traces
+        return np.where(counts[:, None] > 0, means, self.penalty), entries
 
     def word_winners(
         self, texts: list[str], rows: np.ndarray, codes: list[str]
@@ -301,15 +339,18 @@ class Scorer:
                 yield [codes[next(best)] for _ in words]
 
     def predict(self, sentences: list[str], rows: np.ndarray, codes: list[str]) -> list[Prediction]:
-        """Winner, per-candidate scores and domain trace of each sentence.
+        """Prediction of each sentence, over one read-only block of score rows.
 
         The CJK rule applies first; the winner is the first minimum in ``codes`` order.
         """
-        means, traces = self.score_sentences([tokenize(s) for s in sentences], rows)
+        tokens = [tokenize(s) for s in sentences]
+        means, entries = self.score_sentences(tokens, rows)
         means = apply_cjk_sanity(means, sentences, codes, self.registry)
+        means.setflags(write=False)
+        starts = accumulate(map(len, tokens), initial=0)
         return [
-            Prediction(winner=codes[best], scores=dict(zip(codes, row)), domain_trace=trace)
-            for best, row, trace in zip(means.argmin(axis=1).tolist(), means.tolist(), traces)
+            Prediction(codes, row, best, words, entries, start)
+            for row, best, words, start in zip(means, means.argmin(axis=1).tolist(), tokens, starts)
         ]
 
     def predictions(
@@ -348,9 +389,10 @@ def identify_batch(
 
 def format_prediction(index: int, prediction: Prediction, with_scores: bool) -> str:
     """One output row: index, winner, winner score, optionally all scores."""
-    fields = [str(index), prediction.winner, f"{prediction.scores[prediction.winner]:.6f}"]
+    row = prediction.row
+    fields = [str(index), prediction.winner, f"{row.item(prediction._best):.6f}"]
     if with_scores:
-        for code, score in prediction.scores.items():
+        for code, score in zip(prediction.codes, row.tolist()):
             fields.append(code)
             fields.append(f"{score:.6f}")
     return "\t".join(fields)

@@ -1,8 +1,12 @@
+import sys
+from itertools import groupby
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import oracle_ngrams, oracle_tokenize
+from uralid import features
 from uralid.features import WORD_DOMAIN, all_domains, extract_ngrams, pad_word, tokenize
 
 words = st.text(
@@ -76,6 +80,20 @@ def test_ngrams_match_bruteforce_slicing(word, n):
 @given(text=st.text(max_size=60))
 def test_tokenize_matches_bruteforce_scan(text):
     assert tokenize(text) == oracle_tokenize(text)
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Maximal ``str.isalpha`` runs of the lowercased text, found with ``groupby``."""
+    return ["".join(run) for is_alpha, run in groupby(text.lower(), key=str.isalpha) if is_alpha]
+
+
+def test_tokenize_equals_the_groupby_rule_on_every_code_point(monkeypatch):
+    # a fresh table, so that filling it to the limit leaves the module's own as it was
+    table = features._Separators()
+    monkeypatch.setattr(features, "_SEPARATORS", table)
+    text = "".join("a" + chr(cp) + "b " for cp in range(sys.maxunicode + 1))  # surrogates too
+    assert tokenize(text) == reference_tokenize(text)
+    assert len(table) == features._TABLE_LIMIT
 
 
 @given(text=st.text(max_size=60))

@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 import weakref
@@ -28,6 +29,7 @@ from uralid.identifier import (
     Scorer,
     apply_cjk_sanity,
     cjk_ratio,
+    format_prediction,
     identify,
     identify_batch,
     score_word,
@@ -491,6 +493,69 @@ def test_chunk_sums_are_bit_exact_running_sums(seed, data):
             }
         assert list(prediction.scores.items()) == list(expected.items())
         assert prediction.winner == min(expected, key=expected.__getitem__)
+
+
+def dict_format_prediction(index, prediction, with_scores):
+    """The output row, formatted from the ``scores`` dict."""
+    fields = [str(index), prediction.winner, f"{prediction.scores[prediction.winner]:.6f}"]
+    if with_scores:
+        for code, score in prediction.scores.items():
+            fields.append(code)
+            fields.append(f"{score:.6f}")
+    return "\t".join(fields)
+
+
+def test_predictions_build_scores_and_traces_equal_to_eager_ones():
+    # restricted candidate sets, and CJK words that trip the CJK rule on some sentences
+    rng = random.Random(19)
+    registry = make_registry(codes=[*ALPHABETS, "cmn"], cjk={"cmn"})
+    compared = 0
+    for _ in range(40):
+        ms = random_model_set(rng, registry=registry)
+        modeled = sorted(ms.models)
+        candidates = rng.sample(modeled, rng.randint(1, len(modeled)))
+        pool = [random_word(rng) for _ in range(8)] + ["日本語", "中文", "ab日本"]
+        sentences = [
+            " ".join(rng.choice(pool) for _ in range(rng.randint(0, 12))) for _ in range(8)
+        ]
+        predictions = identify_batch(sentences, ms, candidates)
+
+        scorer = ms.scorer()
+        rows, codes = scorer.candidate_rows(candidates)
+        tokens = [tokenize(sentence) for sentence in sentences]
+        means, entries = scorer.score_sentences(tokens, rows)
+        means = apply_cjk_sanity(means, sentences, codes, registry)
+        domains = iter([domain for _, domain in entries])
+        for i, prediction in enumerate(predictions):
+            scores = dict(zip(codes, means[i].tolist()))
+            trace = tuple((word, next(domains)) for word in tokens[i])
+            assert list(prediction.scores.items()) == list(scores.items())
+            assert prediction.domain_trace == trace
+            assert prediction.winner == min(scores, key=scores.__getitem__)
+            assert prediction.codes == codes
+            assert not prediction.row.flags.writeable
+            with pytest.raises(ValueError):
+                prediction.row[0] = 0.0
+            for with_scores in (True, False):
+                assert format_prediction(i, prediction, with_scores) == dict_format_prediction(
+                    i, prediction, with_scores
+                )
+
+            same = copy.copy(prediction)
+            assert same == prediction
+            column = rng.randrange(len(codes))
+            bumped = prediction.row.copy()
+            bumped[column] = np.nextafter(bumped[column], np.inf)
+            same.row = bumped
+            assert same != prediction
+            assert (prediction == prediction.scores) is False
+            assert (prediction == prediction.winner) is False
+            compared += 1
+        # equal scores, different traces
+        once, twice = identify_batch([pool[0], f"{pool[0]} {pool[0]}"], ms, candidates)
+        assert list(once.scores.items()) == list(twice.scores.items())
+        assert once != twice
+    assert compared == 320
 
 
 def test_dropped_model_set_is_freed_without_the_cycle_collector():
