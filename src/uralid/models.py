@@ -107,9 +107,22 @@ class ModelSet:
         return self._scorer[0]
 
 
+def _score_text(score: float) -> str:
+    """A score as saved: 10 significant decimal digits, the one score text rule."""
+    return f"{score:.10g}"
+
+
+def _parse_score(text: str) -> float:
+    """The score ``text`` stands for; ValueError unless it is that score's ``_score_text``."""
+    score = float(text)
+    if _score_text(score) != text:
+        raise ValueError(text)
+    return score
+
+
 def quantize_score(score: float) -> float:
     """Round to 10 significant decimal digits (the serialized precision)."""
-    return float(f"{score:.10g}")
+    return float(_score_text(score))
 
 
 def _score_counts(counts: dict[str, int], cutoff_c: float) -> tuple[dict[str, float], int]:
@@ -221,9 +234,9 @@ def _check_model(
         if at is not None:
             feature, score = list(table.items())[at]
             raise DataError(f"{where}: score {score!r} of {feature!r} outside [0, {max_score:.6f}]")
-        texts[domain] = {score: f"{score:.10g}" for score in dict.fromkeys(table.values())}
+        texts[domain] = {score: _score_text(score) for score in dict.fromkeys(table.values())}
         for score, text in texts[domain].items():
-            if float(text) != score:
+            if _parse_score(text) != score:
                 feature = next(f for f, s in table.items() if s == score)
                 raise DataError(f"{where}: score {score!r} of {feature!r} would load back as {text}")
     return texts
@@ -308,7 +321,8 @@ def _parse_manifest(path: Path):
     return params, registry, model_rows
 
 
-def _load_model_file(path: Path, max_score: float) -> dict[str, float]:
+def _load_model_file(path: Path, max_score: float, parsed: dict[str, float]) -> dict[str, float]:
+    """The file's scores by feature; ``parsed`` holds each score text read so far, parsed once."""
     scores: dict[str, float] = {}
     previous: str | None = None
     for lineno, raw in enumerate(split_records(read_utf8(path)), start=1):
@@ -319,10 +333,13 @@ def _load_model_file(path: Path, max_score: float) -> dict[str, float]:
         if previous is not None and feature <= previous:
             raise DataError(f"{path}:{lineno}: features out of order at {feature!r}")
         previous = feature
-        try:
-            scores[feature] = float(score_text)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad score {score_text!r}") from None
+        score = parsed.get(score_text)
+        if score is None:
+            try:
+                score = parsed[score_text] = _parse_score(score_text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad score {score_text!r}") from None
+        scores[feature] = score
     at = _first_score_outside(scores, max_score)  # features ascend, so entry i is line i + 1
     if at is not None:
         score = list(scores.values())[at]
@@ -331,8 +348,9 @@ def _load_model_file(path: Path, max_score: float) -> dict[str, float]:
 
 
 def load_models(directory) -> ModelSet:
-    """Exact inverse of save_models: any row or line it would not write, a blank
-    one included, is a DataError naming its file and line."""
+    """Exact inverse of save_models: any row, line or score text it would not
+    write, a blank line or a model row out of save order included, is a
+    DataError naming its file and line."""
     directory = Path(directory)
     manifest_path = directory / "manifest.tsv"
     if not manifest_path.is_file():
@@ -342,6 +360,7 @@ def load_models(directory) -> ModelSet:
     domains_by_code: dict[str, dict[str, dict[str, float]]] = {}
     totals_by_code: dict[str, dict[str, int]] = {}
     expected = set(params.domains())
+    parsed: dict[str, float] = {}
     for lineno, code, domain, rel_path, total in model_rows:
         where = f"{manifest_path}:{lineno}"
         if code not in registry:
@@ -356,16 +375,17 @@ def load_models(directory) -> ModelSet:
         if not file_path.is_file():
             raise DataError(f"{where}: missing model file {rel_path}")
         domains_by_code.setdefault(code, {})[domain] = _load_model_file(
-            file_path, params.max_score()
+            file_path, params.max_score(), parsed
         )
         totals_by_code.setdefault(code, {})[domain] = total
 
-    models: dict[str, LanguageModel] = {}
-    for code in registry.codes():
-        if code not in domains_by_code:
-            continue
-        if set(domains_by_code[code]) != expected:
-            missing = sorted(expected - set(domains_by_code[code]))
-            raise DataError(f"{manifest_path}: {code} missing domains {missing}")
-        models[code] = LanguageModel(code, domains_by_code[code], totals_by_code[code])
+    saved_order = [(c, d) for c in registry.codes() if c in domains_by_code for d in params.domains()]
+    first = model_rows[0][0]  # model rows are consecutive lines
+    for at, (code, domain) in enumerate(saved_order):
+        if at == len(model_rows) or model_rows[at][1:3] != (code, domain):
+            raise DataError(f"{manifest_path}:{first + at}: expected the model row for {code} {domain}")
+    models = {
+        code: LanguageModel(code, domains, totals_by_code[code])
+        for code, domains in domains_by_code.items()
+    }
     return ModelSet(params=params, models=models, registry=registry)

@@ -11,15 +11,15 @@ The five stages:
    different languages keeps the union as its known languages
 3. re-identify each line restricted to its known languages plus the
    non-relevant ones that have a model; keep lines where a relevant
-   language still wins, labeled with that language. Lines that share
-   known languages go to one ``Scorer.predictions`` pass per set
-4. split lines into sentences, then deduplicate sentences the same way
+   language still wins, labeled with that language
+4. split lines into sentences after each run of ``.!?…`` that whitespace
+   follows, then deduplicate sentences the same way
 5. label each sentence with the language that wins an absolute majority
-   of its words under the same restriction; drop the rest. Sentences that
-   share known languages go to one ``Scorer.word_winners`` pass
+   of its words under the same restriction; drop the rest, wordless ones too
 
-Stages 1, 3 and 5 are independent per item; 2 and 4 merge in
-first-occurrence order, so the whole funnel is deterministic.
+Stages 3 and 5 score items that share known languages in one pass per set
+and keep one code per item. Stages 1, 3 and 5 are independent per item; 2
+and 4 merge in first-occurrence order, so the whole funnel is deterministic.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from pathlib import Path
 from .errors import DataError, read_utf8, split_records
 from .models import ModelSet
 
-SENTENCE_TERMINATORS = re.compile(r"[.!?…]+(?=\s|$)")
+# A sentence ends after any of .!?… that whitespace follows (``\s``, so
+# U+3000 and U+0085 count too); a run of them stays with its sentence.
+SENTENCE_BREAK = re.compile(r"(?<=[.!?…])(?=\s)")
 
 # Least share of a page's characters its dominant language must win.
 DEFAULT_MIN_SHARE = 0.02
@@ -114,12 +116,13 @@ def stage1_filter_pages(
     registry = model_set.registry
     pages = list(pages)
     lines = [page_lines(page) for page in pages]
-    winners = _winners(list(chain.from_iterable(lines)), model_set)
+    scorer = model_set.scorer()
+    predictions = scorer.predictions(list(chain.from_iterable(lines)), *scorer.candidate_rows())
     kept = []
     for page, texts in zip(pages, lines):
         chars_won: Counter[str] = Counter()
         for text in texts:
-            chars_won[next(winners)] += len(text)
+            chars_won[next(predictions).winner] += len(text)
         total = sum(chars_won.values())
         shares = {
             code: chars_won[code] / total
@@ -131,14 +134,6 @@ def stage1_filter_pages(
             if shares[dominant] >= min_share:
                 kept.append(replace(page, page_language=dominant))
     return kept
-
-
-def _winners(texts: list[str], model_set: ModelSet, candidates=None):
-    """Each text's winner, a chunk at a time; nothing is scored before the first is read."""
-    scorer = model_set.scorer()
-    rows, codes = scorer.candidate_rows(candidates)
-    for prediction in scorer.predictions(texts, rows, codes):
-        yield prediction.winner
 
 
 def _union_dedup(items) -> list[LabeledLine]:
@@ -170,15 +165,21 @@ def restricted_candidates(model_set: ModelSet, allowed_relevant) -> list[str]:
     return registry.sort_by_order(set(allowed_relevant) | set(non_relevant))
 
 
-def _candidate_groups(items, model_set: ModelSet) -> list[tuple[list[str], list[int]]]:
-    """Restricted candidates and item indices per known-language set.
-
-    Sets come in first-occurrence order; a caller puts results back by index.
-    """
+def _score_by_known_languages(items, model_set: ModelSet, score) -> list[tuple]:
+    """``(item, result)`` pairs in item order, from one ``score(scorer, texts, rows,
+    codes)`` call per known-language set, in first-occurrence order, over its
+    restricted candidates."""
+    items, scorer = list(items), model_set.scorer()
     groups: dict[frozenset[str], list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(item.known_languages, []).append(i)
-    return [(restricted_candidates(model_set, langs), ids) for langs, ids in groups.items()]
+    results: list = [None] * len(items)
+    for langs, indices in groups.items():
+        rows, codes = scorer.candidate_rows(restricted_candidates(model_set, langs))
+        texts = [items[i].text for i in indices]
+        for i, result in zip(indices, score(scorer, texts, rows, codes)):
+            results[i] = result
+    return list(zip(items, results))
 
 
 def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
@@ -188,39 +189,22 @@ def stage3_filter_lines(lines, model_set: ModelSet) -> list[LabeledLine]:
     winner becomes its one known language. Lines with the same known
     languages are identified as one batch; kept lines stay in input order.
     """
-    registry = model_set.registry
-    lines = list(lines)
-    winners: list[str] = [""] * len(lines)
-    for candidates, indices in _candidate_groups(lines, model_set):
-        texts = [lines[i].text for i in indices]
-        for i, winner in zip(indices, _winners(texts, model_set, candidates)):
-            winners[i] = winner
+    def winners(scorer, texts, rows, codes):
+        return (prediction.winner for prediction in scorer.predictions(texts, rows, codes))
+
     return [
         LabeledLine(text=line.text, known_languages=frozenset({winner}))
-        for line, winner in zip(lines, winners)
-        if registry.is_relevant(winner)
+        for line, winner in _score_by_known_languages(lines, model_set, winners)
+        if model_set.registry.is_relevant(winner)
     ]
 
 
 def split_sentences(text: str) -> list[str]:
-    """Split after runs of sentence-final punctuation; keep only lettered parts.
+    """Split where ``SENTENCE_BREAK`` does; keep only lettered parts, stripped.
 
-    The terminator run stays with the preceding sentence and must be followed
-    by whitespace or end of text, so "3.14" never splits.
+    Whitespace must follow the break, so "3.14" never splits.
     """
-    parts = []
-    start = 0
-    for match in SENTENCE_TERMINATORS.finditer(text):
-        parts.append(text[start : match.end()])
-        start = match.end()
-    if start < len(text):
-        parts.append(text[start:])
-    sentences = []
-    for part in parts:
-        part = part.strip()
-        if part and any(ch.isalpha() for ch in part):
-            sentences.append(part)
-    return sentences
+    return [part.strip() for part in SENTENCE_BREAK.split(text) if any(ch.isalpha() for ch in part)]
 
 
 def stage4_extract_sentences(line: LabeledLine) -> list[LabeledLine]:
@@ -233,22 +217,16 @@ def stage4_extract_sentences(line: LabeledLine) -> list[LabeledLine]:
 
 def stage5_label_sentences(sentences, model_set: ModelSet) -> list[LabeledSentence]:
     """Label sentences whose words give an absolute majority to one relevant language."""
-    registry = model_set.registry
-    scorer = model_set.scorer()
-    sentences = list(sentences)
-    majorities: list[str | None] = [None] * len(sentences)
-    for candidates, indices in _candidate_groups(sentences, model_set):
-        rows, codes = scorer.candidate_rows(candidates)
-        texts = [sentences[i].text for i in indices]
-        for i, winners in zip(indices, scorer.word_winners(texts, rows, codes)):
-            for code, count in Counter(winners).items():
-                if 2 * count > len(winners):
-                    majorities[i] = code
-                    break
+    def majorities(scorer, texts, rows, codes):
+        """Each text's code that wins more than half its words, else None (so for no words)."""
+        for winners in scorer.word_winners(texts, rows, codes):
+            top = Counter(winners).most_common(1)
+            yield top[0][0] if top and 2 * top[0][1] > len(winners) else None
+
     return [
         LabeledSentence(text=sentence.text, language=majority)
-        for sentence, majority in zip(sentences, majorities)
-        if majority is not None and registry.is_relevant(majority)
+        for sentence, majority in _score_by_known_languages(sentences, model_set, majorities)
+        if majority is not None and model_set.registry.is_relevant(majority)
     ]
 
 

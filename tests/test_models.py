@@ -281,6 +281,18 @@ def _first_total(total):
     return edit
 
 
+def _izh_rows_first(rows):
+    at = next(i for i, row in enumerate(rows) if row.startswith("model\t"))
+    model_rows = rows[at:]
+    izh_rows = [row for row in model_rows if row.startswith("model\tizh\t")]
+    return rows[:at] + izh_rows + [row for row in model_rows if row not in izh_rows], at + 1
+
+
+def _first_score_text(text):
+    """Line 1 of fkv.1.tsv, ' \t0.3010299957', with its score written as ``text``."""
+    return lambda rows: ([rows[0].replace("\t0.3010299957", f"\t{text}")] + rows[1:], 1)
+
+
 @pytest.mark.parametrize(
     "file, edit, message",
     [
@@ -293,9 +305,16 @@ def _first_total(total):
         ("manifest.tsv", lambda rows: ([r for r in rows if not r.startswith("cjkblock")], 5),
          "expected 'cjkblock\\t1100\\t11FF'"),
         ("models/fkv.1.tsv", lambda rows: (rows + [""], len(rows) + 1), "expected feature<TAB>score"),
+        ("manifest.tsv", _izh_rows_first, "expected the model row for fkv 1"),
+        ("manifest.tsv", lambda rows: (rows[:-1], len(rows)), "expected the model row for izh word"),
+        ("models/fkv.1.tsv", _first_score_text("0.30102999570"), "bad score '0.30102999570'"),
+        ("models/fkv.1.tsv", _first_score_text(" 0.3010299957"), "bad score ' 0.3010299957'"),
+        ("models/fkv.1.tsv", _first_score_text("+0.3010299957"), "bad score '+0.3010299957'"),
+        ("models/fkv.1.tsv", _first_score_text("0.3010299957e0"), "bad score '0.3010299957e0'"),
     ],
     ids=["second-param", "unknown-param", "comment", "blank", "negative-total", "signed-total",
-         "no-cjkblocks", "blank-model-line"],
+         "no-cjkblocks", "blank-model-line", "izh-rows-first", "no-last-model-row", "score-trailing-zero",
+         "score-leading-space", "score-plus-sign", "score-exponent"],
 )
 def test_rows_save_models_never_writes_name_their_line(tmp_path, capsys, file, edit, message):
     corpora = [corpus("fkv", "ab ab"), corpus("izh", "fg")]

@@ -1,8 +1,11 @@
 import base64
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ALPHABETS, disjoint_model_set, disjoint_sentences, make_registry
 from uralid import identifier
@@ -281,6 +284,34 @@ def test_split_handles_ellipsis_char():
     assert split_sentences("No… Joo.") == ["No…", "Joo."]
 
 
+def test_split_after_unicode_whitespace():
+    assert split_sentences("Tere.\u3000Tsau!\u2028Jah") == ["Tere.", "Tsau!", "Jah"]
+
+
+def reference_split_sentences(text):
+    """Reference splitter, a loop over matches: cut after each maximal terminator
+    run that whitespace or the end follows, keep the stripped lettered parts."""
+    parts = []
+    start = 0
+    for match in re.finditer(r"[.!?…]+(?=\s|$)", text):
+        parts.append(text[start : match.end()])
+        start = match.end()
+    if start < len(text):
+        parts.append(text[start:])
+    sentences = []
+    for part in parts:
+        part = part.strip()
+        if part and any(ch.isalpha() for ch in part):
+            sentences.append(part)
+    return sentences
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(".!?…abä12 \t\u0085\u00a0\u2028\u3000", max_size=30))
+def test_split_equals_the_reference_loop(text):
+    assert split_sentences(text) == reference_split_sentences(text)
+
+
 def test_stage4_inherits_labels():
     line = LabeledLine("Tere. Tsau!", frozenset({"fkv", "vep"}))
     pieces = stage4_extract_sentences(line)
@@ -311,6 +342,12 @@ def test_stage5_non_relevant_majority_is_dropped(models):
     text = " ".join(fkv_words + swe_words)
     kept = stage5_label_sentences([LabeledLine(text, frozenset({"fkv"}))], models)
     assert kept == []
+
+
+def test_stage5_drops_a_sentence_without_letters(models):
+    fkv = sentences_of("fkv")[0]
+    sentences = [LabeledLine("12 34", frozenset({"fkv"})), LabeledLine(fkv, frozenset({"fkv"}))]
+    assert stage5_label_sentences(sentences, models) == [LabeledSentence(fkv, "fkv")]
 
 
 def test_stage5_single_word_sentence(models):
