@@ -25,7 +25,6 @@ from .identifier import (
     cjk_ratio,
     identify,
     identify_batch,
-    score_word,
 )
 from .models import HeliParams, LanguageModel, ModelSet, load_models, save_models, train_models
 from .pipeline import (
@@ -70,7 +69,6 @@ __all__ = [
     "run_pipeline",
     "save_models",
     "save_registry",
-    "score_word",
     "tokenize",
     "track1",
     "track2",

@@ -361,18 +361,6 @@ class Scorer:
             yield from self.predict(chunk, rows, codes)
 
 
-def score_word(
-    word: str, model_set: ModelSet, candidates=None
-) -> tuple[dict[str, float], str | None]:
-    """Score one word for each candidate; returns the chosen domain too."""
-    if not word:
-        raise ValueError("word must be non-empty")
-    scorer = model_set.scorer()
-    rows, codes = scorer.candidate_rows(candidates)
-    raw, domain = scorer.score_word(word, rows)
-    return {code: float(raw[i]) for i, code in enumerate(codes)}, domain
-
-
 def identify(sentence: str, model_set: ModelSet, candidates=None) -> Prediction:
     """Identify the language of one sentence among the candidates."""
     return identify_batch([sentence], model_set, candidates)[0]

@@ -186,6 +186,12 @@ def _model_path(code: str, domain: str) -> str:
     return f"models/{code}.{domain}.tsv"
 
 
+def _save_order(codes, params: HeliParams, registry: LanguageRegistry) -> list[tuple[str, str]]:
+    """The ``(code, domain)`` of each model file in save order: the modeled
+    ``codes`` in registry order, each with the params' domains in order."""
+    return [(c, d) for c in registry.codes() if c in codes for d in params.domains()]
+
+
 def _manifest_header(params: HeliParams, registry: LanguageRegistry) -> list[str]:
     """The param, cjkblock and language rows that open every manifest, in order."""
     rows = [f"param\t{f.name}\t{_format_param(f, params)}" for f in fields(params)]
@@ -261,17 +267,14 @@ def save_models(model_set: ModelSet, directory) -> None:
     registry = model_set.registry
 
     manifest = _manifest_header(params, registry)
-    ordered_codes = [c for c in registry.codes() if c in model_set.models]
-    for code in ordered_codes:
-        model = model_set.models[code]
-        for domain in params.domains():
-            rel_path = _model_path(code, domain)
-            manifest.append(f"model\t{code}\t{domain}\t{rel_path}\t{model.totals[domain]}")
-            table, text_of = model.domains[domain], texts[code][domain]
-            (directory / rel_path).write_text(
-                "".join([f"{feature}\t{text_of[table[feature]]}\n" for feature in sorted(table)]),
-                encoding="utf-8",
-            )
+    for code, domain in _save_order(model_set.models, params, registry):
+        model, rel_path = model_set.models[code], _model_path(code, domain)
+        manifest.append(f"model\t{code}\t{domain}\t{rel_path}\t{model.totals[domain]}")
+        table, text_of = model.domains[domain], texts[code][domain]
+        (directory / rel_path).write_text(
+            "".join([f"{feature}\t{text_of[table[feature]]}\n" for feature in sorted(table)]),
+            encoding="utf-8",
+        )
     (directory / "manifest.tsv").write_text(
         "".join(line + "\n" for line in manifest), encoding="utf-8"
     )
@@ -287,8 +290,9 @@ def _parse_param(f, text: str):
 
 
 def _parse_manifest(path: Path):
-    """Params, registry and ``(line, code, domain, path, total)`` model rows; the rows
-    before the first model row must be exactly those ``_manifest_header`` renders."""
+    """Params, registry and ``(line, code, domain, total)`` model rows; the rows before
+    the first model row must be exactly those ``_manifest_header`` renders, and the
+    model rows those ``save_models`` writes, in ``_save_order``."""
     rows = split_records(read_utf8(path))
     texts: dict[str, str] = {}
     registry_lines: list[str] = []  # one per row, so registry errors name manifest lines
@@ -308,16 +312,32 @@ def _parse_manifest(path: Path):
     for lineno, want in enumerate(header, start=1):
         if lineno > len(rows) or rows[lineno - 1] != want:
             raise DataError(f"{path}:{lineno}: expected {want!r}")
-    model_rows: list[tuple[int, str, str, str, int]] = []
+    domains = set(params.domains())
+    model_rows: list[tuple[int, str, str, int]] = []
+    seen: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(rows[len(header):], start=len(header) + 1):
-        cells = raw.split("\t")
+        where, cells = f"{path}:{lineno}", raw.split("\t")
         if cells[0] != "model" or len(cells) != 5:
-            raise DataError(f"{path}:{lineno}: unrecognized manifest row {raw!r}")
-        if not (cells[4].isascii() and cells[4].isdigit()):
-            raise DataError(f"{path}:{lineno}: bad total count {cells[4]!r}")
-        model_rows.append((lineno, cells[1], cells[2], cells[3], int(cells[4])))
+            raise DataError(f"{where}: unrecognized manifest row {raw!r}")
+        _, code, domain, rel_path, total = cells
+        if not (total.isascii() and total.isdigit()):
+            raise DataError(f"{where}: bad total count {total!r}")
+        if code not in registry:
+            raise DataError(f"{where}: unregistered language code {code!r}")
+        if domain not in domains:
+            raise DataError(f"{where}: unknown domain {domain!r} for {code}")
+        if rel_path != _model_path(code, domain):
+            raise DataError(f"{where}: model path must be {_model_path(code, domain)}, got {rel_path!r}")
+        if (code, domain) in seen:
+            raise DataError(f"{where}: second model row for {code} {domain}")
+        seen.add((code, domain))
+        model_rows.append((lineno, code, domain, int(total)))
     if not model_rows:
         raise DataError(f"{path}: manifest lists no model rows")
+    first = model_rows[0][0]  # model rows are consecutive lines
+    for at, (code, domain) in enumerate(_save_order({c for c, _ in seen}, params, registry)):
+        if at == len(model_rows) or model_rows[at][1:3] != (code, domain):
+            raise DataError(f"{path}:{first + at}: expected the model row for {code} {domain}")
     return params, registry, model_rows
 
 
@@ -350,42 +370,21 @@ def _load_model_file(path: Path, max_score: float, parsed: dict[str, float]) -> 
 def load_models(directory) -> ModelSet:
     """Exact inverse of save_models: any row, line or score text it would not
     write, a blank line or a model row out of save order included, is a
-    DataError naming its file and line."""
+    DataError naming its file and line. The manifest is checked in full before
+    any model file is read, so a model row out of order is reported before a
+    missing model file."""
     directory = Path(directory)
     manifest_path = directory / "manifest.tsv"
     if not manifest_path.is_file():
         raise DataError(f"{directory}: missing manifest.tsv")
     params, registry, model_rows = _parse_manifest(manifest_path)
-
-    domains_by_code: dict[str, dict[str, dict[str, float]]] = {}
-    totals_by_code: dict[str, dict[str, int]] = {}
-    expected = set(params.domains())
+    models: dict[str, LanguageModel] = {}
     parsed: dict[str, float] = {}
-    for lineno, code, domain, rel_path, total in model_rows:
-        where = f"{manifest_path}:{lineno}"
-        if code not in registry:
-            raise DataError(f"{where}: unregistered language code {code!r}")
-        if domain not in expected:
-            raise DataError(f"{where}: unknown domain {domain!r} for {code}")
-        if rel_path != _model_path(code, domain):
-            raise DataError(f"{where}: model path must be {_model_path(code, domain)}, got {rel_path!r}")
-        if domain in domains_by_code.get(code, {}):
-            raise DataError(f"{where}: second model row for {code} {domain}")
-        file_path = directory / rel_path
-        if not file_path.is_file():
-            raise DataError(f"{where}: missing model file {rel_path}")
-        domains_by_code.setdefault(code, {})[domain] = _load_model_file(
-            file_path, params.max_score(), parsed
-        )
-        totals_by_code.setdefault(code, {})[domain] = total
-
-    saved_order = [(c, d) for c in registry.codes() if c in domains_by_code for d in params.domains()]
-    first = model_rows[0][0]  # model rows are consecutive lines
-    for at, (code, domain) in enumerate(saved_order):
-        if at == len(model_rows) or model_rows[at][1:3] != (code, domain):
-            raise DataError(f"{manifest_path}:{first + at}: expected the model row for {code} {domain}")
-    models = {
-        code: LanguageModel(code, domains, totals_by_code[code])
-        for code, domains in domains_by_code.items()
-    }
+    for lineno, code, domain, total in model_rows:
+        rel_path = _model_path(code, domain)
+        if not (directory / rel_path).is_file():
+            raise DataError(f"{manifest_path}:{lineno}: missing model file {rel_path}")
+        model = models.setdefault(code, LanguageModel(code, {}, {}))
+        model.domains[domain] = _load_model_file(directory / rel_path, params.max_score(), parsed)
+        model.totals[domain] = total
     return ModelSet(params=params, models=models, registry=registry)

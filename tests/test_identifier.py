@@ -32,22 +32,29 @@ from uralid.identifier import (
     format_prediction,
     identify,
     identify_batch,
-    score_word,
 )
 from uralid.models import HeliParams, LanguageModel, ModelSet, train_models
 from uralid.pipeline import restricted_candidates
 
 
+def word_scores(word, ms):
+    """One word's score per modeled code, and the domain that decided it."""
+    scorer = ms.scorer()
+    rows, codes = scorer.candidate_rows()
+    scores, domain = scorer.score_word(word, rows)
+    return dict(zip(codes, scores.tolist())), domain
+
+
 def test_word_domain_uses_stored_score_and_penalty():
     ms = hand_model_set({"fkv": {"word": {" talo ": 0.3}}, "izh": {}})
-    scores, domain = score_word("talo", ms)
+    scores, domain = word_scores("talo", ms)
     assert domain == "word"
     assert scores == {"fkv": 0.3, "izh": 7.0}
 
 
 def test_empty_models_floor_at_penalty():
     ms = hand_model_set({"fkv": {}, "izh": {}})
-    scores, domain = score_word("talo", ms)
+    scores, domain = word_scores("talo", ms)
     assert domain is None
     assert scores == {"fkv": 7.0, "izh": 7.0}
 
@@ -56,7 +63,7 @@ def test_bigram_backoff_means_over_occurrences():
     # no word entry, no 3-grams anywhere, one known bigram: the chosen
     # domain is 2 and the mean runs over " j", "ja", "a ".
     ms = hand_model_set({"fkv": {"2": {"ja": 0.5}}, "izh": {}}, n_max=3)
-    scores, domain = score_word("ja", ms)
+    scores, domain = word_scores("ja", ms)
     assert domain == "2"
     assert scores["fkv"] == pytest.approx((7.0 + 0.5 + 7.0) / 3, abs=1e-12)
     assert scores["izh"] == 7.0
@@ -66,7 +73,7 @@ def test_repeated_ngram_occurrences_count_twice():
     # " aa " bigrams: " a", "aa", "a " -- "a " != " a", but unigrams of
     # "a": " ", "a", " " repeat the space.
     ms = hand_model_set({"fkv": {"1": {" ": 0.2, "a": 0.8}}}, n_max=1, use_words=False)
-    scores, domain = score_word("a", ms)
+    scores, domain = word_scores("a", ms)
     assert domain == "1"
     assert scores["fkv"] == pytest.approx((0.2 + 0.8 + 0.2) / 3, abs=1e-12)
 
@@ -103,12 +110,6 @@ def test_prediction_covers_every_candidate_and_traces_domains():
     prediction = identify("abba cabe", ms, candidates=["fkv", "izh"])
     assert set(prediction.scores) == {"fkv", "izh"}
     assert [word for word, _ in prediction.domain_trace] == ["abba", "cabe"]
-
-
-def test_score_word_rejects_empty_word():
-    ms = disjoint_model_set()
-    with pytest.raises(ValueError):
-        score_word("", ms)
 
 
 def test_no_candidates_raises():
@@ -599,7 +600,7 @@ def test_sparse_layout_densifies_to_the_dense_matrix():
     ms = hand_model_set({"fkv": {"2": {"ja": 0.5}}, "izh": {}}, n_max=3)
     scorer = Scorer(ms)
     assert scorer._indptr["3"].tolist() == [0] and scorer._rows["3"].size == 0
-    assert score_word("ja", ms)[1] == "2"
+    assert word_scores("ja", ms)[1] == "2"
 
 
 def test_scorer_memory_grows_with_stored_features_not_languages_times_vocabulary():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import make_registry, random_model_set, random_word, to_oracle_models
 from oracle import oracle_train
+from uralid import models
 from uralid.cli import main
 from uralid.corpus import Corpus
 from uralid.errors import DataError
@@ -29,6 +30,18 @@ from uralid.registry import DEFAULT_CJK_BLOCKS, LanguageEntry, LanguageRegistry
 
 def corpus(code, *sentences):
     return Corpus(language=code, sentences=tuple(sentences))
+
+
+def count_model_file_reads(monkeypatch):
+    """The path of each model file ``load_models`` reads from now on."""
+    reads, read = [], models._load_model_file
+
+    def counted(path, *rest):
+        reads.append(path)
+        return read(path, *rest)
+
+    monkeypatch.setattr(models, "_load_model_file", counted)
+    return reads
 
 
 def test_default_params_match_published_baseline():
@@ -316,18 +329,23 @@ def _first_score_text(text):
          "no-cjkblocks", "blank-model-line", "izh-rows-first", "no-last-model-row", "score-trailing-zero",
          "score-leading-space", "score-plus-sign", "score-exponent"],
 )
-def test_rows_save_models_never_writes_name_their_line(tmp_path, capsys, file, edit, message):
+def test_rows_save_models_never_writes_name_their_line(
+    tmp_path, capsys, monkeypatch, file, edit, message
+):
     corpora = [corpus("fkv", "ab ab"), corpus("izh", "fg")]
     save_models(train_models(corpora, HeliParams(n_max=1), make_registry()), tmp_path / "m")
     path = tmp_path / "m" / file
     rows, line = edit(path.read_text(encoding="utf-8").splitlines())
     path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    reads = count_model_file_reads(monkeypatch)
     with pytest.raises(DataError) as info:
         load_models(tmp_path / "m")
     assert str(info.value) == f"{path}:{line}: {message}"
     (tmp_path / "in.txt").write_text("ab\n", encoding="utf-8")
     assert main(["identify", "--models", str(tmp_path / "m"), "--input", str(tmp_path / "in.txt")]) == 2
     assert capsys.readouterr().err == f"uralid: {path}:{line}: {message}\n"
+    if file == "manifest.tsv":
+        assert reads == []
 
 
 @pytest.mark.parametrize(
@@ -443,14 +461,30 @@ def saved_manifest(tmp_path):
     ],
     ids=["registry-row", "unregistered", "domain", "path", "other-language-path", "second-row"],
 )
-def test_manifest_faults_name_the_manifest_line(tmp_path, prefix, edit, offset, message):
+def test_manifest_faults_name_the_manifest_line(
+    tmp_path, monkeypatch, prefix, edit, offset, message
+):
     lines, manifest = saved_manifest(tmp_path)
     at = next(i for i, row in enumerate(lines) if row.startswith(prefix))
     lines[at : at + 1] = edit(lines[at])
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reads = count_model_file_reads(monkeypatch)
     with pytest.raises(DataError) as info:
         load_models(tmp_path / "m")
     assert str(info.value) == f"{manifest}:{at + 1 + offset}: {message}"
+    assert reads == []
+
+
+def test_order_fault_is_reported_before_a_missing_model_file(tmp_path, monkeypatch):
+    lines, manifest = saved_manifest(tmp_path)
+    rows, line = _izh_rows_first(lines)
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "m" / "models" / "izh.1.tsv").unlink()  # the first model row's file
+    reads = count_model_file_reads(monkeypatch)
+    with pytest.raises(DataError) as info:
+        load_models(tmp_path / "m")
+    assert str(info.value) == f"{manifest}:{line}: expected the model row for fkv 1"
+    assert reads == []
 
 
 def test_missing_model_file_names_the_manifest_line(tmp_path):
