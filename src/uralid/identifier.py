@@ -15,8 +15,9 @@ candidate is pushed out of contention by a large constant.
 
 Words are scored in batches: ``Scorer.score_words`` looks each distinct
 word up in the word cache once and walks the backoff order over the rest,
-one step per feature domain for every word still unresolved there. A
-word's scores do not depend on the batch. Both means add their terms in
+one step per feature domain for every word still unresolved there. It
+returns one read-only table, a score row per word, and the words' domains.
+A word's scores do not depend on the batch. Both means add their terms in
 order through one rule, ``running_sums``: a word's feature scores in a
 domain step and a sentence's word rows in ``Scorer.score_sentences``, so
 every score equals the plain left-to-right loop bit for bit.
@@ -66,16 +67,16 @@ class Prediction:
     Two predictions are equal when their winners, codes, scores and traces are.
     """
 
-    __slots__ = ("winner", "codes", "row", "_best", "_words", "_entries", "_start")
+    __slots__ = ("winner", "codes", "row", "_best", "_words", "_domains", "_start")
 
-    def __init__(self, codes, row, best, words, entries, start):
+    def __init__(self, codes, row, best, words, domains, start):
         self.winner = codes[best]
         self.codes = codes
         self.row = row
         self._best = best
-        # the sentence's tokens, and its words' (scores, domain) from entries[start:]
+        # the sentence's tokens, and their domains from domains[start:] (the chunk's list)
         self._words = words
-        self._entries = entries
+        self._domains = domains
         self._start = start
 
     @property
@@ -84,8 +85,7 @@ class Prediction:
 
     @property
     def domain_trace(self) -> tuple[tuple[str, str | None], ...]:
-        entries = self._entries[self._start : self._start + len(self._words)]
-        return tuple((word, domain) for word, (_, domain) in zip(self._words, entries))
+        return tuple(zip(self._words, self._domains[self._start : self._start + len(self._words)]))
 
     def __eq__(self, other):
         if not isinstance(other, Prediction):
@@ -227,9 +227,11 @@ class Scorer:
 
     def _score_new(
         self, words: list[str], rows: np.ndarray
-    ) -> list[tuple[np.ndarray, str | None]]:
-        """Scores and domain of distinct uncached words, by backoff over the batch."""
-        results: list[tuple[np.ndarray, str | None] | None] = [None] * len(words)
+    ) -> tuple[np.ndarray, list[str | None]]:
+        """Read-only score rows and domains of distinct uncached words, by backoff over the
+        batch; a word no domain resolves keeps the penalty row and domain ``None``."""
+        scores = np.full((len(words), rows.shape[0]), self.penalty)
+        domains: list[str | None] = [None] * len(words)
         unresolved = list(range(len(words)))
         # registry row -> candidate position, -1 outside the candidate set
         position = np.full(len(self.registry), -1, dtype=np.int64)
@@ -268,63 +270,60 @@ class Scorer:
             stored = np.zeros(used.shape[0] + 1, dtype=bool)
             stored[columns] = True
             usable = np.logical_or.reduceat(stored[ids], offsets)
-            scores = running_sums(table, ids, offsets, count_array)
-            scores /= count_array[:, None]
-            scores.setflags(write=False)
-            for j, (i, found) in enumerate(zip(batch, usable.tolist())):
-                if found:
-                    results[i] = (scores[j], domain)
-            unresolved = [i for i in unresolved if results[i] is None]
+            sums = running_sums(table, ids, offsets, count_array)
+            resolved = np.array(batch)[usable]
+            scores[resolved] = sums[usable] / count_array[usable, None]
+            for i in resolved.tolist():
+                domains[i] = domain
+            unresolved = [i for i in unresolved if domains[i] is None]
             if not unresolved:
                 break
-        if unresolved:
-            nothing = np.full(rows.shape[0], self.penalty)
-            nothing.setflags(write=False)
-            for i in unresolved:
-                results[i] = (nothing, None)
-        return results
+        scores.setflags(write=False)
+        return scores, domains
 
     def score_words(
         self, words: list[str], rows: np.ndarray
-    ) -> list[tuple[np.ndarray, str | None]]:
-        """Memoized (scores, domain) of each word for the given candidate rows.
+    ) -> tuple[np.ndarray, list[str | None]]:
+        """Memoized score row of each word for the given candidate rows, and its domain.
 
         Each distinct word is looked up in the cache once; those missing are
-        scored together, one step per feature domain they reach.
-        Score arrays are read-only.
+        scored together, one step per feature domain they reach. The table
+        is read-only and has one row per word, repeats included.
         """
         key = rows.tobytes()
         cache = self._cache
         found = {word: cache.get((word, key)) for word in dict.fromkeys(words)}
         new = [word for word, hit in found.items() if hit is None]
         if new:
-            scored = self._score_new(new, rows)
-            found.update(zip(new, scored))
+            entries = list(zip(*self._score_new(new, rows)))
+            found.update(zip(new, entries))
             if len(cache) + len(new) > _CACHE_LIMIT:
                 cache = self._cache = {}
-            cache.update(((word, key), entry) for word, entry in zip(new, scored))
-        return [found[word] for word in words]
+            cache.update(((word, key), entry) for word, entry in zip(new, entries))
+        table = np.array([found[word][0] for word in words]).reshape(len(words), rows.shape[0])
+        table.setflags(write=False)
+        return table, [found[word][1] for word in words]
 
     def score_word(self, word: str, rows: np.ndarray) -> tuple[np.ndarray, str | None]:
-        """Memoized per-word scores for the given candidate rows (read-only)."""
-        return self.score_words([word], rows)[0]
+        """Memoized score row (read-only) and domain of one word for the given candidate rows."""
+        table, domains = self.score_words([word], rows)
+        return table[0], domains[0]
 
     def score_sentences(
         self, tokens: list[list[str]], rows: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, str | None]]]:
-        """Mean word-score row of each token list, and every token's (scores, domain).
+    ) -> tuple[np.ndarray, list[str | None]]:
+        """Mean word-score row of each token list, and every token's domain.
 
         A sentence's word rows are added by ``running_sums``, in word order
         as ``acc += row`` adds them, then divided by its token count; an
-        empty list gets the penalty row. The entries run over all the
+        empty list gets the penalty row. The domains run over all the
         tokens in order, as ``score_words`` returns them.
         """
-        entries = self.score_words(list(chain.from_iterable(tokens)), rows)
+        table, domains = self.score_words(list(chain.from_iterable(tokens)), rows)
         counts = np.array([len(words) for words in tokens], dtype=np.int64)
-        table = np.array([scores for scores, _ in entries]).reshape(len(entries), rows.shape[0])
-        sums = running_sums(table, np.arange(len(entries)), counts.cumsum() - counts, counts)
+        sums = running_sums(table, np.arange(table.shape[0]), counts.cumsum() - counts, counts)
         means = sums / np.maximum(counts, 1)[:, None]
-        return np.where(counts[:, None] > 0, means, self.penalty), entries
+        return np.where(counts[:, None] > 0, means, self.penalty), domains
 
     def word_winners(
         self, texts: list[str], rows: np.ndarray, codes: list[str]
@@ -332,8 +331,7 @@ class Scorer:
         """Each text's per-word winners (first minimum in ``codes`` order), a chunk at a time."""
         for chunk in _chunks(texts):
             tokens = [tokenize(text) for text in chunk]
-            entries = self.score_words(list(chain.from_iterable(tokens)), rows)
-            table = np.array([scores for scores, _ in entries]).reshape(len(entries), rows.shape[0])
+            table, _ = self.score_words(list(chain.from_iterable(tokens)), rows)
             best = iter(table.argmin(axis=1).tolist())
             for words in tokens:
                 yield [codes[next(best)] for _ in words]
@@ -344,12 +342,12 @@ class Scorer:
         The CJK rule applies first; the winner is the first minimum in ``codes`` order.
         """
         tokens = [tokenize(s) for s in sentences]
-        means, entries = self.score_sentences(tokens, rows)
+        means, domains = self.score_sentences(tokens, rows)
         means = apply_cjk_sanity(means, sentences, codes, self.registry)
         means.setflags(write=False)
         starts = accumulate(map(len, tokens), initial=0)
         return [
-            Prediction(codes, row, best, words, entries, start)
+            Prediction(codes, row, best, words, domains, start)
             for row, best, words, start in zip(means, means.argmin(axis=1).tolist(), tokens, starts)
         ]
 

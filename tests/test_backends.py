@@ -75,7 +75,8 @@ def test_word_scores_equal_the_reference_kernel_in_the_first_usable_domain(seed,
     codes = data.draw(st.sets(st.sampled_from(sorted(model_set.models)), min_size=1))
     scorer = Scorer(model_set)
     rows, _ = scorer.candidate_rows(codes)
-    for word, (scores, domain) in zip(words, scorer.score_words(words, rows)):
+    table, domains = scorer.score_words(words, rows)
+    for word, scores, domain in zip(words, table, domains):
         expected, expected_domain = reference_word(model_set, word, rows)
         assert domain == expected_domain
         assert scores.tobytes() == expected.tobytes()
@@ -89,7 +90,7 @@ def test_a_word_no_candidate_knows_gets_the_penalty_row_and_no_domain():
     })
     scorer = Scorer(model_set)
     rows, _ = scorer.candidate_rows(["fkv"])
-    for scores, domain in scorer.score_words(["zz", "ja"], rows):
+    for scores, domain in zip(*scorer.score_words(["zz", "ja"], rows)):
         assert domain is None
         assert scores.tobytes() == np.full(1, 7.0).tobytes()
     rows, _ = scorer.candidate_rows(["fkv", "izh"])
@@ -141,13 +142,16 @@ def test_running_sums_memory_stays_within_two_and_a_half_outputs():
 def test_word_scores_do_not_depend_on_the_batch(seed, data):
     model_set = random_model_set(random.Random(seed))
     word = st.text(alphabet="abcdefghijk", min_size=1, max_size=10)
-    words = data.draw(st.lists(word, min_size=1, max_size=12))
+    words = data.draw(st.lists(word, min_size=0, max_size=12))
     order = data.draw(st.permutations(words))
     codes = data.draw(st.sets(st.sampled_from(sorted(model_set.models)), min_size=1))
     batched = Scorer(model_set)
     solo = Scorer(model_set)  # every entry it caches was scored alone
     rows, _ = batched.candidate_rows(codes)
-    for word, (scores, domain) in zip(order, batched.score_words(order, rows)):
+    table, domains = batched.score_words(order, rows)
+    assert table.shape == (len(order), rows.shape[0]) and len(domains) == len(order)
+    assert not table.flags.writeable
+    for word, scores, domain in zip(order, table, domains):
         alone, alone_domain = solo.score_word(word, rows)
         assert domain == alone_domain
         assert scores.tobytes() == alone.tobytes()

@@ -483,7 +483,7 @@ def test_chunk_sums_are_bit_exact_running_sums(seed, data):
     for sentence, prediction in zip(sentences, predictions):
         words = tokenize(sentence)
         acc = np.zeros(rows.shape[0])
-        for scores, _ in scorer.score_words(words, rows):
+        for scores in scorer.score_words(words, rows)[0]:
             acc += scores
         raw = acc / len(words) if words else np.full(rows.shape[0], scorer.penalty)
         expected = dict(zip(codes, raw.tolist()))
@@ -524,9 +524,9 @@ def test_predictions_build_scores_and_traces_equal_to_eager_ones():
         scorer = ms.scorer()
         rows, codes = scorer.candidate_rows(candidates)
         tokens = [tokenize(sentence) for sentence in sentences]
-        means, entries = scorer.score_sentences(tokens, rows)
+        means, domains = scorer.score_sentences(tokens, rows)
         means = apply_cjk_sanity(means, sentences, codes, registry)
-        domains = iter([domain for _, domain in entries])
+        domains = iter(domains)
         for i, prediction in enumerate(predictions):
             scores = dict(zip(codes, means[i].tolist()))
             trace = tuple((word, next(domains)) for word in tokens[i])
@@ -580,6 +580,31 @@ def test_word_score_cache_returns_consistent_results():
     assert domain_first == domain_second
     assert np.array_equal(first, second)
     assert not second.flags.writeable
+
+
+def test_word_cache_resets_keep_scores_and_bound_the_cache(monkeypatch):
+    # batches of up to 8 distinct words against a limit of 5 reset the cache often
+    monkeypatch.setattr(identifier, "_CACHE_LIMIT", 5)
+    rng = random.Random(23)
+    ms = random_model_set(rng)
+    scorer = Scorer(ms)
+    rows, _ = scorer.candidate_rows()
+    pool = [random_word(rng) for _ in range(20)]
+    resets = 0
+    for _ in range(30):
+        words = rng.sample(pool, rng.randint(1, 8))
+        before = len(scorer._cache)
+        new = len(set(words) - {word for word, _ in scorer._cache})
+        table, domains = scorer.score_words(words, rows)
+        fresh_table, fresh_domains = Scorer(ms).score_words(words, rows)
+        assert table.tobytes() == fresh_table.tobytes()
+        assert domains == fresh_domains
+        if new:  # a reset followed by one large batch can leave more than the limit
+            assert len(scorer._cache) <= max(identifier._CACHE_LIMIT, new)
+        else:
+            assert len(scorer._cache) == before
+        resets += len(scorer._cache) < before + new
+    assert resets > 0
 
 
 # --- sparse layout -----------------------------------------------------------
