@@ -53,8 +53,6 @@ def extract_ngrams(word: str, n: int) -> list[str]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     padded = f" {word} "
-    if n > len(padded):
-        return []
     return [padded[i : i + n] for i in range(len(padded) - n + 1)]
 
 

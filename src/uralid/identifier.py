@@ -14,10 +14,10 @@ half of the non-whitespace characters fall in CJK blocks, every non-CJK
 candidate is pushed out of contention by a large constant.
 
 Words are scored in batches: ``Scorer.score_words`` looks each distinct
-word up in the word cache once and walks the backoff order over the rest,
-one step per feature domain for every word still unresolved there. It
-returns one read-only table, a score row per word, and the words' domains.
-A word's scores do not depend on the batch. Both means add their terms in
+word up in the candidate set's score table once and scores the rest into
+its spare rows, one backoff step per feature domain. It returns the rows
+in use (read-only), each word's row index and the rows' domains. A word's
+scores do not depend on the batch. Both means add their terms in
 order through one rule, ``running_sums``: a word's feature scores in a
 domain step and a sentence's word rows in ``Scorer.score_sentences``, so
 every score equals the plain left-to-right loop bit for bit.
@@ -48,7 +48,7 @@ from .registry import DEFAULT_CJK_BLOCKS, LanguageRegistry
 # value above the penalty ceiling guarantees a CJK candidate wins.
 CJK_HIGH_PENALTY = 1000.0
 
-# Word-score cache entries kept per scorer before a full reset.
+# Cached word rows, summed over a scorer's candidate-set tables, past which all are dropped.
 _CACHE_LIMIT = 1 << 20
 
 # Sentences (or lines) whose new words are scored together: bounds the
@@ -168,7 +168,7 @@ class Scorer:
     ``_scores[domain]`` from ``_indptr[domain][j]`` up to ``[j + 1]``, so
     memory grows with the stored features, not languages times vocabulary.
     Each domain step tables only the columns its batch uses, over the
-    candidates alone. Word scores are memoized per candidate set.
+    candidates alone. Word scores are memoized in one table per candidate set.
     The scorer keeps the modeled codes, not the ModelSet that caches it, so
     the two form no reference cycle.
     """
@@ -182,7 +182,7 @@ class Scorer:
         self._indptr: dict[str, np.ndarray] = {}
         self._rows: dict[str, np.ndarray] = {}
         self._scores: dict[str, np.ndarray] = {}
-        self._cache: dict[tuple[str, bytes], tuple[np.ndarray, str | None]] = {}
+        self._cache: dict[bytes, tuple[dict[str, int], np.ndarray, list[str | None]]] = {}
 
         for domain in self.params.domains():
             vocab: dict[str, int] = {}
@@ -225,12 +225,10 @@ class Scorer:
         rows = np.array([self.registry.index(c) for c in codes], dtype=np.int64)
         return rows, codes
 
-    def _score_new(
-        self, words: list[str], rows: np.ndarray
-    ) -> tuple[np.ndarray, list[str | None]]:
-        """Read-only score rows and domains of distinct uncached words, by backoff over the
-        batch; a word no domain resolves keeps the penalty row and domain ``None``."""
-        scores = np.full((len(words), rows.shape[0]), self.penalty)
+    def _score_new(self, words: list[str], rows: np.ndarray, out: np.ndarray) -> list[str | None]:
+        """Score distinct uncached words into ``out``, a row each, by backoff over the batch,
+        and return their domains; a word no domain resolves gets the penalty row and ``None``."""
+        out.fill(self.penalty)
         domains: list[str | None] = [None] * len(words)
         unresolved = list(range(len(words)))
         # registry row -> candidate position, -1 outside the candidate set
@@ -272,42 +270,46 @@ class Scorer:
             usable = np.logical_or.reduceat(stored[ids], offsets)
             sums = running_sums(table, ids, offsets, count_array)
             resolved = np.array(batch)[usable]
-            scores[resolved] = sums[usable] / count_array[usable, None]
+            out[resolved] = sums[usable] / count_array[usable, None]
             for i in resolved.tolist():
                 domains[i] = domain
             unresolved = [i for i in unresolved if domains[i] is None]
             if not unresolved:
                 break
-        scores.setflags(write=False)
-        return scores, domains
+        return domains
 
     def score_words(
         self, words: list[str], rows: np.ndarray
-    ) -> tuple[np.ndarray, list[str | None]]:
-        """Memoized score row of each word for the given candidate rows, and its domain.
+    ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+        """Memoized ``(table, index, domains)`` of the words for the given candidate rows.
 
-        Each distinct word is looked up in the cache once; those missing are
-        scored together, one step per feature domain they reach. The table
-        is read-only and has one row per word, repeats included.
+        Word ``k`` has row ``table[index[k]]`` (a read-only view no call writes
+        again) and domain ``domains[index[k]]``. Words missing from the candidate
+        set's table are scored together into its next rows, one step per domain.
         """
         key = rows.tobytes()
-        cache = self._cache
-        found = {word: cache.get((word, key)) for word in dict.fromkeys(words)}
-        new = [word for word, hit in found.items() if hit is None]
+        where, table, domains = self._cache.get(key) or ({}, np.empty((0, rows.shape[0])), [])
+        new = list(dict.fromkeys(word for word in words if word not in where))
         if new:
-            entries = list(zip(*self._score_new(new, rows)))
-            found.update(zip(new, entries))
-            if len(cache) + len(new) > _CACHE_LIMIT:
-                cache = self._cache = {}
-            cache.update(((word, key), entry) for word, entry in zip(new, entries))
-        table = np.array([found[word][0] for word in words]).reshape(len(words), rows.shape[0])
+            used = len(domains)
+            if used + len(new) > table.shape[0]:  # np.empty leaves the spare rows' pages unwritten
+                grown = np.empty((2 * (used + len(new)), rows.shape[0]))
+                grown[:used] = table[:used]
+                table = grown
+            domains += self._score_new(new, rows, table[used : used + len(new)])
+            where.update(zip(new, range(used, len(domains))))
+            self._cache[key] = where, table, domains
+        index = np.fromiter(map(where.__getitem__, words), dtype=np.int64, count=len(words))
+        table = table[: len(domains)]
         table.setflags(write=False)
-        return table, [found[word][1] for word in words]
+        if new and sum(len(cached[2]) for cached in self._cache.values()) > _CACHE_LIMIT:
+            self._cache = {}
+        return table, index, domains
 
     def score_word(self, word: str, rows: np.ndarray) -> tuple[np.ndarray, str | None]:
         """Memoized score row (read-only) and domain of one word for the given candidate rows."""
-        table, domains = self.score_words([word], rows)
-        return table[0], domains[0]
+        table, index, domains = self.score_words([word], rows)
+        return table[index[0]], domains[index[0]]
 
     def score_sentences(
         self, tokens: list[list[str]], rows: np.ndarray
@@ -317,13 +319,13 @@ class Scorer:
         A sentence's word rows are added by ``running_sums``, in word order
         as ``acc += row`` adds them, then divided by its token count; an
         empty list gets the penalty row. The domains run over all the
-        tokens in order, as ``score_words`` returns them.
+        tokens in order, read through ``score_words``' index.
         """
-        table, domains = self.score_words(list(chain.from_iterable(tokens)), rows)
+        table, index, domains = self.score_words(list(chain.from_iterable(tokens)), rows)
         counts = np.array([len(words) for words in tokens], dtype=np.int64)
-        sums = running_sums(table, np.arange(table.shape[0]), counts.cumsum() - counts, counts)
+        sums = running_sums(table, index, counts.cumsum() - counts, counts)
         means = sums / np.maximum(counts, 1)[:, None]
-        return np.where(counts[:, None] > 0, means, self.penalty), domains
+        return np.where(counts[:, None] > 0, means, self.penalty), [domains[i] for i in index.tolist()]
 
     def word_winners(
         self, texts: list[str], rows: np.ndarray, codes: list[str]
@@ -331,8 +333,8 @@ class Scorer:
         """Each text's per-word winners (first minimum in ``codes`` order), a chunk at a time."""
         for chunk in _chunks(texts):
             tokens = [tokenize(text) for text in chunk]
-            table, _ = self.score_words(list(chain.from_iterable(tokens)), rows)
-            best = iter(table.argmin(axis=1).tolist())
+            table, index, _ = self.score_words(list(chain.from_iterable(tokens)), rows)
+            best = iter(table[index].argmin(axis=1).tolist())
             for words in tokens:
                 yield [codes[next(best)] for _ in words]
 

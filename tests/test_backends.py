@@ -75,8 +75,8 @@ def test_word_scores_equal_the_reference_kernel_in_the_first_usable_domain(seed,
     codes = data.draw(st.sets(st.sampled_from(sorted(model_set.models)), min_size=1))
     scorer = Scorer(model_set)
     rows, _ = scorer.candidate_rows(codes)
-    table, domains = scorer.score_words(words, rows)
-    for word, scores, domain in zip(words, table, domains):
+    table, index, domains = scorer.score_words(words, rows)
+    for word, scores, domain in zip(words, table[index], [domains[i] for i in index]):
         expected, expected_domain = reference_word(model_set, word, rows)
         assert domain == expected_domain
         assert scores.tobytes() == expected.tobytes()
@@ -90,7 +90,8 @@ def test_a_word_no_candidate_knows_gets_the_penalty_row_and_no_domain():
     })
     scorer = Scorer(model_set)
     rows, _ = scorer.candidate_rows(["fkv"])
-    for scores, domain in zip(*scorer.score_words(["zz", "ja"], rows)):
+    table, index, domains = scorer.score_words(["zz", "ja"], rows)
+    for scores, domain in zip(table[index], [domains[i] for i in index]):
         assert domain is None
         assert scores.tobytes() == np.full(1, 7.0).tobytes()
     rows, _ = scorer.candidate_rows(["fkv", "izh"])
@@ -148,10 +149,11 @@ def test_word_scores_do_not_depend_on_the_batch(seed, data):
     batched = Scorer(model_set)
     solo = Scorer(model_set)  # every entry it caches was scored alone
     rows, _ = batched.candidate_rows(codes)
-    table, domains = batched.score_words(order, rows)
-    assert table.shape == (len(order), rows.shape[0]) and len(domains) == len(order)
+    table, index, domains = batched.score_words(order, rows)
+    word_rows, word_domains = table[index], [domains[i] for i in index]
+    assert word_rows.shape == (len(order), rows.shape[0]) and len(word_domains) == len(order)
     assert not table.flags.writeable
-    for word, scores, domain in zip(order, table, domains):
+    for word, scores, domain in zip(order, word_rows, word_domains):
         alone, alone_domain = solo.score_word(word, rows)
         assert domain == alone_domain
         assert scores.tobytes() == alone.tobytes()

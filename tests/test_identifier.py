@@ -483,7 +483,8 @@ def test_chunk_sums_are_bit_exact_running_sums(seed, data):
     for sentence, prediction in zip(sentences, predictions):
         words = tokenize(sentence)
         acc = np.zeros(rows.shape[0])
-        for scores in scorer.score_words(words, rows)[0]:
+        table, index, _ = scorer.score_words(words, rows)
+        for scores in table[index]:
             acc += scores
         raw = acc / len(words) if words else np.full(rows.shape[0], scorer.penalty)
         expected = dict(zip(codes, raw.tolist()))
@@ -583,28 +584,81 @@ def test_word_score_cache_returns_consistent_results():
 
 
 def test_word_cache_resets_keep_scores_and_bound_the_cache(monkeypatch):
-    # batches of up to 8 distinct words against a limit of 5 reset the cache often
+    # batches of up to 8 distinct words against a limit of 5 rows drop the tables often
     monkeypatch.setattr(identifier, "_CACHE_LIMIT", 5)
     rng = random.Random(23)
     ms = random_model_set(rng)
     scorer = Scorer(ms)
     rows, _ = scorer.candidate_rows()
     pool = [random_word(rng) for _ in range(20)]
+
+    def cached_rows():
+        return sum(len(domains) for _, _, domains in scorer._cache.values())
+
     resets = 0
+    served = []
     for _ in range(30):
         words = rng.sample(pool, rng.randint(1, 8))
-        before = len(scorer._cache)
-        new = len(set(words) - {word for word, _ in scorer._cache})
-        table, domains = scorer.score_words(words, rows)
-        fresh_table, fresh_domains = Scorer(ms).score_words(words, rows)
-        assert table.tobytes() == fresh_table.tobytes()
-        assert domains == fresh_domains
-        if new:  # a reset followed by one large batch can leave more than the limit
-            assert len(scorer._cache) <= max(identifier._CACHE_LIMIT, new)
+        before = cached_rows()
+        new = len(set(words) - {word for where, _, _ in scorer._cache.values() for word in where})
+        table, index, domains = scorer.score_words(words, rows)
+        fresh_table, fresh_index, fresh_domains = Scorer(ms).score_words(words, rows)
+        returned = table[index].tobytes(), [domains[i] for i in index]
+        fresh = fresh_table[fresh_index].tobytes(), [fresh_domains[i] for i in fresh_index]
+        assert returned == fresh
+        served.append((table, index, domains, returned))
+        if new:  # a call past the limit drops every table, within the old max(limit, new) bound
+            assert cached_rows() <= max(identifier._CACHE_LIMIT, new)
         else:
-            assert len(scorer._cache) == before
-        resets += len(scorer._cache) < before + new
+            assert cached_rows() == before
+        resets += cached_rows() < before + new
     assert resets > 0
+    # no later call, growth or reset writes into rows an earlier call handed out
+    for table, index, domains, returned in served:
+        assert (table[index].tobytes(), [domains[i] for i in index]) == returned
+
+
+def test_candidate_set_tables_equal_fresh_ones_in_any_order():
+    # five languages over shared letters, so a word's row and domain depend on the set
+    rng = random.Random(29)
+    registry = make_registry()
+    corpora = [
+        Corpus(language=code, sentences=tuple(random_sentence(rng) for _ in range(8)))
+        for code in registry.codes()
+    ]
+    ms = train_models(corpora, HeliParams(n_max=3), registry)
+    seen = [word for corpus in corpora for word in tokenize(corpus.sentences[0])]
+    words = seen + [random_word(rng) for _ in range(20)] + ["zz", "ä"]
+    words += rng.sample(words, 10)  # repeats, scored again once cached
+    sets = [None, restricted_candidates(ms, {"fkv", "izh"}), ["swe"]]
+    expected = []
+    for candidates in sets:
+        fresh = Scorer(ms)
+        table, index, domains = fresh.score_words(words, fresh.candidate_rows(candidates)[0])
+        expected.append({w: (table[i].tobytes(), domains[i]) for w, i in zip(words, index)})
+
+    batches = []
+    start = 0
+    while start < len(words):
+        size = rng.randint(1, 3)
+        batches.append(words[start : start + size])
+        start += size
+    orders = [
+        [(0, words), (1, words), (2, words)],  # full set first
+        [(1, words), (2, words), (0, words)],  # restricted first
+        [(s, batch) for batch in batches for s in range(len(sets))],  # interleaved
+    ]
+    for calls in orders:
+        scorer = Scorer(ms)
+        bases = [{} for _ in sets]  # each table a call read from, kept so no id is reused
+        for s, batch in calls:
+            table, index, domains = scorer.score_words(batch, scorer.candidate_rows(sets[s])[0])
+            want = [expected[s][word] for word in batch]
+            assert table[index].tobytes() == b"".join(row for row, _ in want)
+            assert [domains[i] for i in index] == [domain for _, domain in want]
+            bases[s][id(table.base)] = table.base
+        if len(calls) > len(sets):
+            assert all(len(grown) >= 3 for grown in bases)  # every table grew several times
 
 
 # --- sparse layout -----------------------------------------------------------
