@@ -11,7 +11,8 @@ registered first.
 
 Texts dominated by CJK characters get a sanity adjustment: when more than
 half of the non-whitespace characters fall in CJK blocks, every non-CJK
-candidate is pushed out of contention by a large constant.
+candidate is pushed out of contention by a large constant. The characters
+of a whole chunk are counted at once, from its joined text's code points.
 
 Words are scored in batches: ``Scorer.score_words`` looks each distinct
 word up in the candidate set's score table once and scores the rest into
@@ -130,19 +131,28 @@ def running_sums(rows, index, starts, counts):
     return result
 
 
-def cjk_ratio(text: str, blocks=DEFAULT_CJK_BLOCKS) -> float:
-    """Fraction of non-whitespace characters inside CJK blocks."""
-    # no character can be in a block when even the largest one is below them all
-    if not text or ord(max(text)) < min(blocks, default=(0x110000,))[0]:
-        return 0.0
-    visible = "".join(text.split())  # str.split drops exactly the str.isspace characters
-    if not visible:
-        return 0.0
-    cp = np.frombuffer(visible.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    in_cjk = np.zeros(cp.shape[0], dtype=bool)
+# Whether each code point up to U+3001 is whitespace (str.isspace). None lies above U+3000,
+# so the CJK rule reads every higher code point as U+3001, whose entry is False.
+_IS_SPACE = np.array([chr(cp).isspace() for cp in range(0x3002)])
+
+
+def _cjk_counts(texts: list[str], blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Per text, its non-whitespace code points inside a block and all its non-whitespace ones,
+    read once from the joined texts (a lone surrogate is one code point)."""
+    cp = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    visible = ~_IS_SPACE[np.minimum(cp, 0x3001)]
+    cjk = np.zeros(cp.shape[0], dtype=bool)
     for lo, hi in blocks:
-        in_cjk |= (cp >= lo) & (cp <= hi)
-    return int(in_cjk.sum()) / len(visible)
+        cjk |= (cp >= lo) & (cp <= hi)
+    bounds = np.fromiter(accumulate(map(len, texts), initial=0), dtype=np.int64, count=len(texts) + 1)
+    # the running count of marked code points at each bound; a text's count is a difference
+    return tuple(np.diff(np.searchsorted(np.flatnonzero(m), bounds)) for m in (cjk & visible, visible))
+
+
+def cjk_ratio(text: str, blocks=DEFAULT_CJK_BLOCKS) -> float:
+    """Fraction of non-whitespace characters inside CJK blocks (0.0 without any), as a chunk counts."""
+    (cjk,), (visible,) = _cjk_counts([text], blocks)
+    return int(cjk) / int(visible) if visible else 0.0
 
 
 def apply_cjk_sanity(
@@ -151,12 +161,13 @@ def apply_cjk_sanity(
     """Push non-CJK candidates out of the rows whose text is majority-CJK.
 
     ``scores`` holds one row per sentence and one column per code. Strictly
-    more than half of a sentence's non-whitespace characters must be CJK;
-    a ratio of exactly 0.5 leaves its row untouched. Returns a new array.
+    more than half of a sentence's non-whitespace characters must be CJK
+    (``2 * cjk > visible``, counted for the whole chunk at once); a ratio of
+    exactly 0.5 leaves its row untouched. Returns a new array.
     """
-    tripped = np.array([cjk_ratio(s, registry.cjk_blocks) > 0.5 for s in sentences], dtype=bool)
+    cjk, visible = _cjk_counts(sentences, registry.cjk_blocks)
     non_cjk = np.array([not registry.is_cjk(code) for code in codes], dtype=bool)
-    return np.where(tripped[:, None] & non_cjk, scores + CJK_HIGH_PENALTY, scores)
+    return np.where((2 * cjk > visible)[:, None] & non_cjk, scores + CJK_HIGH_PENALTY, scores)
 
 
 class Scorer:

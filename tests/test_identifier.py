@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -158,14 +158,19 @@ def test_cjk_ratio_matches_bruteforce():
 WHITESPACE = [chr(cp) for cp in range(0x3001) if chr(cp).isspace()]
 
 
-@st.composite
-def cjk_cases(draw):
-    """Random text and a block list: the default one or a custom one, empty included."""
-    custom = st.lists(
-        st.tuples(st.integers(0, 0x10FFFF), st.integers(0, 0x10FFFF)).map(lambda b: tuple(sorted(b))),
-        max_size=4,
+def cjk_blocks(min_size=0):
+    """The default block list, or up to four custom blocks: random ones, and
+    small ones around a whitespace code point, which the rule must not count."""
+    random_block = st.tuples(st.integers(0, 0x10FFFF), st.integers(0, 0x10FFFF))
+    around_space = st.tuples(st.sampled_from(WHITESPACE), st.integers(0, 3), st.integers(0, 3)).map(
+        lambda b: (ord(b[0]) - b[1], ord(b[0]) + b[2])
     )
-    blocks = tuple(draw(st.one_of(st.just(BLOCKS), custom)))
+    custom = st.lists(st.one_of(random_block, around_space), min_size=min_size, max_size=4)
+    return st.one_of(st.just(BLOCKS), custom.map(lambda blocks: tuple(tuple(sorted(b)) for b in blocks)))
+
+
+def cjk_text(blocks):
+    """Text of any code point (lone surrogates included), whitespace and the blocks' edges."""
     edges = [
         chr(cp)
         for lo, hi in blocks
@@ -175,8 +180,21 @@ def cjk_cases(draw):
     pieces = [st.characters(exclude_categories=()), st.sampled_from(WHITESPACE)]
     if edges:
         pieces.append(st.sampled_from(edges))
-    text = draw(st.text(alphabet=st.one_of(*pieces), max_size=40))
-    return text, blocks
+    return st.text(alphabet=st.one_of(*pieces), max_size=40)
+
+
+@st.composite
+def cjk_cases(draw):
+    """Random text and a block list: the default one or a custom one, empty included."""
+    blocks = draw(cjk_blocks())
+    return draw(cjk_text(blocks)), blocks
+
+
+@st.composite
+def cjk_chunks(draw):
+    """Up to eight texts, empty ones included, sharing one non-empty block list."""
+    blocks = draw(cjk_blocks(min_size=1))
+    return draw(st.lists(cjk_text(blocks), max_size=8)), blocks
 
 
 @settings(max_examples=500, deadline=None)
@@ -189,6 +207,29 @@ def test_cjk_ratio_equals_oracle_exactly(case):
 def test_cjk_ratio_counts_every_whitespace_code_point_as_whitespace():
     text = "日" + "".join(WHITESPACE) + "a"
     assert cjk_ratio(text) == oracle_cjk_ratio(text, list(BLOCKS)) == 0.5
+
+
+def test_whitespace_code_points_all_lie_below_the_first_cjk_punctuation():
+    # the rule's table, and WHITESPACE above, stop at U+3000
+    everywhere = [cp for cp in range(0x110000) if chr(cp).isspace()]
+    assert np.flatnonzero(identifier._IS_SPACE).tolist() == everywhere == [ord(ch) for ch in WHITESPACE]
+
+
+def test_whitespace_inside_a_custom_block_is_not_cjk():
+    assert cjk_ratio("0\t", ((0, 9),)) == oracle_cjk_ratio("0\t", [(0, 9)]) == 0.0
+    registry = make_registry(codes=["cmn", "fin"], cjk={"cmn"}, blocks=[(0, 9)])
+    assert sanity({"cmn": 2.0, "fin": 1.0}, "0\t", registry) == {"cmn": 2.0, "fin": 1.0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk=cjk_chunks())
+@example(chunk=(["0\t"], ((0, 9),)))
+def test_chunk_rule_trips_the_rows_whose_oracle_ratio_is_above_half(chunk):
+    texts, blocks = chunk
+    registry = make_registry(codes=["cmn", "fin"], cjk={"cmn"}, blocks=blocks)
+    after = apply_cjk_sanity(np.zeros((len(texts), 2)), texts, ["cmn", "fin"], registry)
+    tripped = [oracle_cjk_ratio(text, list(blocks)) > 0.5 for text in texts]
+    assert after.tolist() == [[0.0, CJK_HIGH_PENALTY if trip else 0.0] for trip in tripped]
 
 
 def sanity(scores: dict[str, float], sentence: str, registry) -> dict[str, float]:
