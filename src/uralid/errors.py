@@ -35,9 +35,14 @@ def read_utf8(path) -> str:
     return decode_utf8(Path(path).read_bytes(), path)
 
 
+def unify_line_ends(text: str) -> str:
+    """``text`` with each record end (``\\r\\n``, ``\\r`` or ``\\n``) written as ``\\n``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def split_records(text: str) -> list[str]:
     """The records of a line-oriented text; a final line end starts no empty record."""
-    records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    records = unify_line_ends(text).split("\n")
     if records[-1] == "":
         records.pop()
     return records

@@ -12,9 +12,12 @@ it large; code points past the limit are classified each time they occur.
 Words are padded with exactly one space on each side before n-grams are
 taken, so boundary n-grams are distinguishable from word-internal ones.
 The word-level feature of ``kala`` is the padded string ``" kala "``.
+An n-gram is therefore exactly n code points, never U+0000 (not a letter).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 WORD_DOMAIN = "word"
 
@@ -54,6 +57,16 @@ def extract_ngrams(word: str, n: int) -> list[str]:
         raise ValueError(f"n must be >= 1, got {n}")
     padded = f" {word} "
     return [padded[i : i + n] for i in range(len(padded) - n + 1)]
+
+
+def code_points(text: str) -> np.ndarray:
+    """The code points of ``text`` as little-endian uint32 (a lone surrogate is one code point)."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def ngram_keys(cp: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """The n code points of ``cp`` from each of ``starts``, as ``<U{n}`` keys."""
+    return cp[starts[:, None] + np.arange(n)].view(f"<U{n}")[:, 0]
 
 
 def all_domains(n_max: int, use_words: bool) -> list[str]:

@@ -37,12 +37,13 @@ have a model.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 
 import numpy as np
 
-from .features import WORD_DOMAIN, extract_ngrams, pad_word, tokenize
-from .models import ModelSet
+# extract_ngrams stays importable from here: the traced benchmark wraps it in this module.
+from .features import WORD_DOMAIN, code_points, extract_ngrams, ngram_keys, pad_word, tokenize
+from .models import ModelSet, table_arrays
 from .registry import DEFAULT_CJK_BLOCKS, LanguageRegistry
 
 # Added to every non-CJK candidate when a text trips the CJK check. Any
@@ -139,7 +140,7 @@ _IS_SPACE = np.array([chr(cp).isspace() for cp in range(0x3002)])
 def _cjk_counts(texts: list[str], blocks) -> tuple[np.ndarray, np.ndarray]:
     """Per text, its non-whitespace code points inside a block and all its non-whitespace ones,
     read once from the joined texts (a lone surrogate is one code point)."""
-    cp = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    cp = code_points("".join(texts))
     visible = ~_IS_SPACE[np.minimum(cp, 0x3001)]
     cjk = np.zeros(cp.shape[0], dtype=bool)
     for lo, hi in blocks:
@@ -170,18 +171,41 @@ def apply_cjk_sanity(
     return np.where((2 * cjk > visible)[:, None] & non_cjk, scores + CJK_HIGH_PENALTY, scores)
 
 
+def padded_code_points(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The code points of the space-padded words laid end to end, and each padded
+    word's start and length there."""
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
+    return code_points("".join(map(pad_word, words))), lengths.cumsum() - lengths, lengths
+
+
+def window_columns(keys, cp, starts, lengths, n) -> tuple[np.ndarray, np.ndarray]:
+    """The column in ``keys`` (sorted, non-empty) of each n-gram of each padded word at
+    ``starts`` in ``cp``, -1 for one ``keys`` lacks, in word and then position order;
+    and each word's n-gram count, ``max(0, length - n + 1)`` as ``extract_ngrams`` gives."""
+    counts = np.maximum(lengths - n + 1, 0)
+    # window k of a word starts k code points after the word
+    first = np.repeat(starts - (counts.cumsum() - counts), counts) + np.arange(counts.sum())
+    windows = ngram_keys(cp, first, n)
+    at = np.minimum(np.searchsorted(keys, windows), keys.shape[0] - 1)
+    return np.where(keys[at] == windows, at, -1), counts
+
+
 class Scorer:
     """Array form of a ModelSet, and the word and sentence scoring over it.
 
-    Per domain, a vocabulary maps feature strings to columns, and the
+    Per n-gram domain, the vocabulary is one sorted array of ``<U{n}`` keys,
+    ``_keys[domain]``, and a feature's column is its position there; the word
+    domain's vocabulary is a dict from padded word to column, ``_vocabs``. The
     stored scores are kept in compressed sparse column form: column ``j``
     owns the entries of ``_rows[domain]`` (registry rows, ascending) and
     ``_scores[domain]`` from ``_indptr[domain][j]`` up to ``[j + 1]``, so
     memory grows with the stored features, not languages times vocabulary.
-    Each domain step tables only the columns its batch uses, over the
-    candidates alone. Word scores are memoized in one table per candidate set.
-    The scorer keeps the modeled codes, not the ModelSet that caches it, so
-    the two form no reference cycle.
+    Each domain step finds its batch's n-gram columns with one gather of
+    windows over the words' code points and one ``np.searchsorted``, and
+    tables only the columns it uses, over the candidates alone. Word scores
+    are memoized in one table per candidate set. The scorer keeps the
+    modeled codes, not the ModelSet that caches it, so the two form no
+    reference cycle.
     """
 
     def __init__(self, model_set: ModelSet):
@@ -190,28 +214,36 @@ class Scorer:
         self.registry = model_set.registry
         self.penalty = float(self.params.penalty_p)
         self._vocabs: dict[str, dict[str, int]] = {}
+        self._keys: dict[str, np.ndarray] = {}
         self._indptr: dict[str, np.ndarray] = {}
         self._rows: dict[str, np.ndarray] = {}
         self._scores: dict[str, np.ndarray] = {}
         self._cache: dict[bytes, tuple[dict[str, int], np.ndarray, list[str | None]]] = {}
 
+        # models in registry order, so that a stable sort keeps each column's rows ascending
+        models = sorted((self.registry.index(code), model) for code, model in model_set.models.items())
         for domain in self.params.domains():
-            vocab: dict[str, int] = {}
-            cols, rows, values = [], [], []
-            for code, model in model_set.models.items():
-                table = model.domains[domain]
-                cols += [vocab.setdefault(feature, len(vocab)) for feature in table]
-                rows += [self.registry.index(code)] * len(table)
-                values += table.values()
-            cols = np.array(cols, dtype=np.int64)
-            rows = np.array(rows, dtype=np.int32)
-            order = np.lexsort((rows, cols))
-            self._vocabs[domain] = vocab
-            self._indptr[domain] = np.concatenate(
-                ([0], np.bincount(cols, minlength=len(vocab)).cumsum())
-            )
+            tables = [model.domains[domain] for _, model in models]
+            if domain == WORD_DOMAIN:
+                vocab = self._vocabs[domain] = {}
+                cols = np.array([vocab.setdefault(f, len(vocab)) for t in tables for f in t], dtype=np.int64)
+                values = np.fromiter(chain.from_iterable(t.values() for t in tables), np.float64)
+                order = np.argsort(cols, kind="stable")
+                self._indptr[domain] = np.concatenate(([0], np.bincount(cols, minlength=len(vocab)).cumsum()))
+            else:
+                n = int(domain)
+                arrays = [table_arrays(t, n) for t in tables]
+                # the leading empty arrays give a model set without models its typed empty domain
+                keys = np.concatenate([np.empty(0, f"<U{n}")] + [k for k, _ in arrays])
+                values = np.concatenate([np.empty(0)] + [v for _, v in arrays])
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.shape[0]])
+                self._keys[domain] = keys[first]
+                self._indptr[domain] = np.append(first, keys.shape[0])
+            rows = np.repeat(np.array([i for i, _ in models], dtype=np.int32), [len(t) for t in tables])
             self._rows[domain] = rows[order]
-            self._scores[domain] = np.array(values, dtype=np.float64)[order]
+            self._scores[domain] = values[order]
 
         self._backoff = self.params.domains()[::-1]
 
@@ -240,35 +272,39 @@ class Scorer:
         """Score distinct uncached words into ``out``, a row each, by backoff over the batch,
         and return their domains; a word no domain resolves gets the penalty row and ``None``."""
         out.fill(self.penalty)
-        domains: list[str | None] = [None] * len(words)
-        unresolved = list(range(len(words)))
+        domains = np.full(len(words), None, dtype=object)
         # registry row -> candidate position, -1 outside the candidate set
         position = np.full(len(self.registry), -1, dtype=np.int64)
         position[rows] = np.arange(rows.shape[0])
+        cp, starts, lengths = padded_code_points(words)
+        pending = np.ones(len(words), dtype=bool)
+        unresolved = np.arange(len(words))
         for domain in self._backoff:
-            n = None if domain == WORD_DOMAIN else int(domain)
-            get = self._vocabs[domain].get
-            batch, ids, counts = [], [], []
-            for i in unresolved:
-                features = [pad_word(words[i])] if n is None else extract_ngrams(words[i], n)
-                word_ids = list(map(get, features, repeat(-1)))
-                if word_ids and max(word_ids) >= 0:  # else no model has any of its features
-                    batch.append(i)
-                    counts.append(len(word_ids))
-                    ids += word_ids
-            if not batch:
+            if domain == WORD_DOMAIN:
+                get = self._vocabs[domain].get
+                ids = np.array([get(pad_word(words[i]), -1) for i in unresolved.tolist()], dtype=np.int64)
+                counts = np.ones(unresolved.shape[0], dtype=np.int64)
+            elif self._keys[domain].shape[0]:
+                ids, counts = window_columns(
+                    self._keys[domain], cp, starts[unresolved], lengths[unresolved], int(domain)
+                )
+            else:
                 continue
-            count_array = np.array(counts, dtype=np.int64)
-            offsets = count_array.cumsum() - count_array
-            ids = np.array(ids, dtype=np.int64)
+            # the words with a feature some model stores, and their features' ids
+            owner = np.repeat(np.arange(unresolved.shape[0]), counts)
+            in_batch = np.bincount(owner[ids >= 0], minlength=unresolved.shape[0]) > 0
+            if not in_batch.any():
+                continue
+            batch, ids, counts = unresolved[in_batch], ids[in_batch[owner]], counts[in_batch]
+            offsets = counts.cumsum() - counts
             known = ids >= 0
             used, ids[known] = np.unique(ids[known], return_inverse=True)
-            # the used columns' stored entries, in order: the k-th of column j is at starts[j] + k
+            # the used columns' stored entries, in order: the k-th of column j is at first[j] + k
             indptr = self._indptr[domain]
-            starts = indptr[used]
-            lengths = indptr[used + 1] - starts
-            columns = np.repeat(np.arange(used.shape[0]), lengths)
-            entries = np.arange(columns.shape[0]) + (starts - (lengths.cumsum() - lengths))[columns]
+            first = indptr[used]
+            sizes = indptr[used + 1] - first
+            columns = np.repeat(np.arange(used.shape[0]), sizes)
+            entries = np.arange(columns.shape[0]) + (first - (sizes.cumsum() - sizes))[columns]
             candidate = position[self._rows[domain][entries]]
             kept = candidate >= 0
             columns = columns[kept]
@@ -279,15 +315,15 @@ class Scorer:
             stored = np.zeros(used.shape[0] + 1, dtype=bool)
             stored[columns] = True
             usable = np.logical_or.reduceat(stored[ids], offsets)
-            sums = running_sums(table, ids, offsets, count_array)
-            resolved = np.array(batch)[usable]
-            out[resolved] = sums[usable] / count_array[usable, None]
-            for i in resolved.tolist():
-                domains[i] = domain
-            unresolved = [i for i in unresolved if domains[i] is None]
-            if not unresolved:
+            sums = running_sums(table, ids, offsets, counts)
+            resolved = batch[usable]
+            out[resolved] = sums[usable] / counts[usable, None]
+            domains[resolved] = domain
+            pending[resolved] = False
+            unresolved = unresolved[pending[unresolved]]
+            if not unresolved.shape[0]:
                 break
-        return domains
+        return domains.tolist()
 
     def score_words(
         self, words: list[str], rows: np.ndarray

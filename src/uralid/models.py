@@ -15,6 +15,14 @@ a token-by-token pass, so the counts, the scores and each table's key order
 equal that pass's, while the work grows with the types, not the tokens. Each
 distinct count is scored once, and saving renders each distinct score once.
 
+Loading keeps no per-feature Python object for an n-gram domain: a model
+file becomes an ``NgramTable``, its features one array of fixed-width keys
+gathered from the file's code points and its scores one float array. Every
+n-gram feature is exactly n code points, none of them U+0000 (the width
+rule, which ``save_models`` and ``load_models`` both enforce), and a file
+is sorted by feature, so its keys come out sorted. The word domain, whose
+features have no fixed width, stays a dict.
+
 Model directory layout::
 
     manifest.tsv                params, registry, file list with totals
@@ -26,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, takewhile
 from pathlib import Path
@@ -33,8 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DataError, read_utf8, split_records
-from .features import WORD_DOMAIN, all_domains, extract_ngrams, pad_word, tokenize
+from .errors import DataError, read_utf8, split_records, unify_line_ends
+from .features import (
+    WORD_DOMAIN, all_domains, code_points, extract_ngrams, ngram_keys, pad_word, tokenize,
+)
 from .registry import LanguageRegistry, parse_registry
 
 # Absolute slack for score range checks: covers the rounding step of the
@@ -78,12 +89,71 @@ class HeliParams:
         return all_domains(self.n_max, self.use_words)
 
 
+class NgramTable(Mapping):
+    """Read-only feature-to-score mapping of one n-gram domain, held as two arrays:
+    ``features``, the sorted distinct features as ``<U{n}`` keys, and ``scores``,
+    float64 in the same order. It iterates in key order, the order of its model
+    file, and equals any mapping with the same items."""
+
+    __slots__ = ("features", "scores")
+
+    def __init__(self, features: np.ndarray, scores: np.ndarray):
+        features.setflags(write=False)
+        scores.setflags(write=False)
+        self.features = features
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+    def __iter__(self):
+        return iter(self.features.tolist())
+
+    def __getitem__(self, feature):
+        if isinstance(feature, str) and len(feature) * 4 == self.features.dtype.itemsize:
+            at = int(np.searchsorted(self.features, feature))
+            if at < len(self) and self.features[at] == feature:
+                return self.scores.item(at)
+        raise KeyError(feature)
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def __repr__(self) -> str:
+        return f"NgramTable({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping.features.tolist(), self._mapping.scores.tolist())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.scores.tolist())
+
+
+def table_arrays(table: Mapping[str, float], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An n-gram domain's features as ``<U{n}`` keys and its scores as float64, in
+    table order; a dict whose features break the width rule is a DataError."""
+    if isinstance(table, NgramTable):
+        return table.features, table.scores
+    bad = _width_rule_breaker(table, "".join(table), n)
+    if bad is not None:
+        raise DataError(_width_fault(bad, n))
+    return np.array(list(table), dtype=f"<U{n}"), np.fromiter(table.values(), np.float64, len(table))
+
+
 @dataclass(frozen=True)
 class LanguageModel:
-    """Per-domain feature score maps for one language."""
+    """Per-domain feature score maps for one language: dicts from training, and
+    from loading a dict for the word domain and an ``NgramTable`` for each n-gram one."""
 
     language: str
-    domains: dict[str, dict[str, float]]
+    domains: dict[str, Mapping[str, float]]
     totals: dict[str, int]
 
 
@@ -201,12 +271,23 @@ def _manifest_header(params: HeliParams, registry: LanguageRegistry) -> list[str
     ]
 
 
-def _first_score_outside(table: dict[str, float], max_score: float) -> int | None:
-    """Position of the first score in ``table`` outside [0, max_score] (up to the
-    quantization slack; NaN is outside), or None: the one range rule of saving and loading."""
-    scores = np.fromiter(table.values(), dtype=np.float64, count=len(table))
-    outside = ~((scores >= 0.0) & (scores <= max_score + SCORE_RANGE_SLACK))
-    return int(outside.argmax()) if outside.any() else None
+def _outside_range(scores: np.ndarray, max_score: float) -> np.ndarray:
+    """Which scores lie outside [0, max_score], up to the quantization slack (NaN
+    does): the one range rule of saving and loading."""
+    return ~((scores >= 0.0) & (scores <= max_score + SCORE_RANGE_SLACK))
+
+
+def _width_rule_breaker(features, joined: str, n: int) -> str | None:
+    """The first of the features, whose concatenation is ``joined``, that is not n
+    code points other than U+0000, or None."""
+    if "\0" in joined or set(map(len, features)) - {n}:
+        return next(f for f in features if len(f) != n or "\0" in f)
+    return None
+
+
+def _width_fault(feature: str, n: int) -> str:
+    """The message for an n-gram feature that breaks the width rule."""
+    return f"feature {feature!r} is not a {n}-gram: an n-gram is n code points, none of them U+0000"
 
 
 def _check_model(
@@ -236,9 +317,12 @@ def _check_model(
         except UnicodeEncodeError as exc:
             bad = next(f for f, end in zip(table, accumulate(map(len, table))) if end > exc.start)
             raise DataError(f"{where}: feature {bad!r} cannot be written as UTF-8") from None
-        at = _first_score_outside(table, max_score)
-        if at is not None:
-            feature, score = list(table.items())[at]
+        bad = None if domain == WORD_DOMAIN else _width_rule_breaker(table, joined, int(domain))
+        if bad is not None:
+            raise DataError(f"{where}: {_width_fault(bad, int(domain))}")
+        outside = _outside_range(np.fromiter(table.values(), np.float64, len(table)), max_score)
+        if outside.any():
+            feature, score = list(table.items())[outside.argmax()]
             raise DataError(f"{where}: score {score!r} of {feature!r} outside [0, {max_score:.6f}]")
         texts[domain] = {score: _score_text(score) for score in dict.fromkeys(table.values())}
         for score, text in texts[domain].items():
@@ -271,6 +355,8 @@ def save_models(model_set: ModelSet, directory) -> None:
         model, rel_path = model_set.models[code], _model_path(code, domain)
         manifest.append(f"model\t{code}\t{domain}\t{rel_path}\t{model.totals[domain]}")
         table, text_of = model.domains[domain], texts[code][domain]
+        if isinstance(table, NgramTable):  # a dict looks each feature up in one step
+            table = dict(table.items())
         (directory / rel_path).write_text(
             "".join([f"{feature}\t{text_of[table[feature]]}\n" for feature in sorted(table)]),
             encoding="utf-8",
@@ -341,38 +427,77 @@ def _parse_manifest(path: Path):
     return params, registry, model_rows
 
 
-def _load_model_file(path: Path, max_score: float, parsed: dict[str, float]) -> dict[str, float]:
-    """The file's scores by feature; ``parsed`` holds each score text read so far, parsed once."""
-    scores: dict[str, float] = {}
-    previous: str | None = None
-    for lineno, raw in enumerate(split_records(read_utf8(path)), start=1):
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected feature<TAB>score")
-        feature, score_text = parts
-        if previous is not None and feature <= previous:
-            raise DataError(f"{path}:{lineno}: features out of order at {feature!r}")
-        previous = feature
-        score = parsed.get(score_text)
-        if score is None:
-            try:
-                score = parsed[score_text] = _parse_score(score_text)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad score {score_text!r}") from None
-        scores[feature] = score
-    at = _first_score_outside(scores, max_score)  # features ascend, so entry i is line i + 1
-    if at is not None:
-        score = list(scores.values())[at]
-        raise DataError(f"{path}:{at + 1}: score {score} outside [0, {max_score:.6f}]")
-    return scores
+def _load_model_file(path: Path, domain: str, max_score: float, parsed: dict[str, float]):
+    """The file's table: an ``NgramTable`` for an n-gram domain, a dict for the word
+    domain. ``parsed`` holds each score text read so far, parsed once.
+
+    Each rule is one mask over the rows that passed the rules before it: one tab
+    per row, the width rule, strictly ascending features, a score text
+    ``_parse_score`` reads, the score range. The fault reported is thus on the
+    lowest line that breaks a rule, and on a line that breaks several, the first.
+    """
+    text = unify_line_ends(read_utf8(path))
+    if text and text[-1] != "\n":
+        text += "\n"
+    cp = code_points(text)
+    low = np.flatnonzero(cp <= 10)  # the tabs, line ends and U+0000s, among others
+    kinds = cp[low]
+    separator = kinds >= 9
+    seps, nuls = low[separator], low[kinds == 0]
+    # while the separators alternate tab, line end, each row holds one tab
+    wrong = kinds[separator] != np.where(np.arange(seps.shape[0]) % 2, 10, 9)
+    rows, message = seps.shape[0] // 2, None
+    if wrong.any():
+        rows, message = int(wrong.argmax()) // 2, "expected feature<TAB>score"
+    tabs, ends = seps[0 : 2 * rows : 2], seps[1 : 2 * rows : 2]
+    starts = np.concatenate(([0], ends + 1))[:rows]
+
+    def rule(bad, describe):
+        """Stop at the first row so far that ``bad`` marks, with its fault."""
+        nonlocal rows, message
+        hits = np.flatnonzero(bad[:rows])
+        if hits.size:
+            rows = int(hits[0])
+            message = describe(rows)
+
+    # each of those rows is two cells, its feature and its score text
+    cells = text.replace("\n", "\t").split("\t", 2 * rows)
+    if domain == WORD_DOMAIN:
+        features = cells[0 : 2 * rows : 2]
+        column = np.array(features, dtype=object)
+    else:
+        n = int(domain)
+        within = np.searchsorted(nuls, tabs) > np.searchsorted(nuls, starts)
+        rule((tabs - starts != n) | within, lambda at: _width_fault(cells[2 * at], n))
+        features = column = ngram_keys(cp, starts[:rows], n)
+    rule(np.concatenate(([False], ~(column[1:] > column[:-1]))),
+         lambda at: f"features out of order at {cells[2 * at]!r}")
+    texts = cells[1 : 2 * rows : 2]
+    unreadable = set()
+    for score_text in set(texts).difference(parsed):
+        try:
+            parsed[score_text] = _parse_score(score_text)
+        except ValueError:
+            unreadable.add(score_text)
+    if unreadable:
+        rule(np.fromiter(map(unreadable.__contains__, texts), bool, len(texts)),
+             lambda at: f"bad score {texts[at]!r}")
+    scores = np.fromiter(map(parsed.get, texts[:rows]), np.float64, rows)
+    rule(_outside_range(scores, max_score), lambda at: f"score {scores.item(at)} outside [0, {max_score:.6f}]")
+    if message is not None:
+        raise DataError(f"{path}:{rows + 1}: {message}")
+    if domain == WORD_DOMAIN:
+        return dict(zip(features, scores.tolist()))
+    return NgramTable(features, scores)
 
 
 def load_models(directory) -> ModelSet:
     """Exact inverse of save_models: any row, line or score text it would not
-    write, a blank line or a model row out of save order included, is a
-    DataError naming its file and line. The manifest is checked in full before
-    any model file is read, so a model row out of order is reported before a
-    missing model file."""
+    write, a blank line, an n-gram that breaks the width rule or a model row out
+    of save order included, is a DataError naming its file and line. The
+    manifest is checked in full before any model file is read, so a model row
+    out of order is reported before a missing model file. Each n-gram domain
+    loads as an ``NgramTable`` over two arrays, the word domain as a dict."""
     directory = Path(directory)
     manifest_path = directory / "manifest.tsv"
     if not manifest_path.is_file():
@@ -385,6 +510,6 @@ def load_models(directory) -> ModelSet:
         if not (directory / rel_path).is_file():
             raise DataError(f"{manifest_path}:{lineno}: missing model file {rel_path}")
         model = models.setdefault(code, LanguageModel(code, {}, {}))
-        model.domains[domain] = _load_model_file(directory / rel_path, params.max_score(), parsed)
+        model.domains[domain] = _load_model_file(directory / rel_path, domain, params.max_score(), parsed)
         model.totals[domain] = total
     return ModelSet(params=params, models=models, registry=registry)

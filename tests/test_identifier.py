@@ -20,10 +20,11 @@ from helpers import (
     random_word,
     to_oracle_models,
 )
-from oracle import oracle_cjk_ratio, oracle_score_sentence, oracle_winner
+from oracle import oracle_cjk_ratio, oracle_score_sentence, oracle_score_word, oracle_winner
 from uralid import identifier
 from uralid.corpus import Corpus
-from uralid.features import tokenize
+from uralid.errors import DataError
+from uralid.features import extract_ngrams, tokenize
 from uralid.identifier import (
     CJK_HIGH_PENALTY,
     Scorer,
@@ -33,7 +34,7 @@ from uralid.identifier import (
     identify,
     identify_batch,
 )
-from uralid.models import HeliParams, LanguageModel, ModelSet, train_models
+from uralid.models import HeliParams, LanguageModel, ModelSet, load_models, save_models, train_models
 from uralid.pipeline import restricted_candidates
 
 
@@ -705,6 +706,11 @@ def test_candidate_set_tables_equal_fresh_ones_in_any_order():
 # --- sparse layout -----------------------------------------------------------
 
 
+def vocabulary(scorer, domain):
+    """A domain's features in column order: the word dict's keys, an n-gram domain's key array."""
+    return list(scorer._vocabs[domain]) if domain == "word" else scorer._keys[domain].tolist()
+
+
 def test_sparse_layout_densifies_to_the_dense_matrix():
     # random model sets leave registered languages without a model, switch
     # the word domain off, and at cutoff 0.05 leave some domains near-empty
@@ -713,7 +719,7 @@ def test_sparse_layout_densifies_to_the_dense_matrix():
         ms = random_model_set(rng)
         scorer = Scorer(ms)
         for domain in ms.params.domains():
-            vocab = scorer._vocabs[domain]
+            vocab = vocabulary(scorer, domain)
             assert set(vocab) == {f for m in ms.models.values() for f in m.domains[domain]}
     # test_backends.py checks the stored scores against dense_matrix, through the word scores
     # a domain no model has features in stores nothing and is backed off from
@@ -721,6 +727,99 @@ def test_sparse_layout_densifies_to_the_dense_matrix():
     scorer = Scorer(ms)
     assert scorer._indptr["3"].tolist() == [0] and scorer._rows["3"].size == 0
     assert word_scores("ja", ms)[1] == "2"
+
+
+# "Ā" (U+0100) ends in zero bytes as UTF-32, "𝔞" is astral, "\ud800" a lone surrogate
+_GRAM_LETTERS = "ab Ā𝔞\ud800"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.lists(st.text(_GRAM_LETTERS, max_size=7), max_size=8),
+    n=st.integers(1, 6),
+    data=st.data(),
+)
+def test_window_columns_equal_the_dict_lookups_of_extract_ngrams(words, n, data):
+    grams = sorted({g for w in words for g in extract_ngrams(w, n)})
+    extra = data.draw(st.lists(st.text(_GRAM_LETTERS, min_size=n, max_size=n), max_size=6))
+    kept = data.draw(st.lists(st.sampled_from(grams), max_size=len(grams)) if grams else st.just([]))
+    keys = sorted(set(kept + extra)) or ["a" * n]
+    vocab = {key: column for column, key in enumerate(keys)}
+    cp, starts, lengths = identifier.padded_code_points(words)
+    ids, counts = identifier.window_columns(np.array(keys, dtype=f"<U{n}"), cp, starts, lengths, n)
+    want = [[vocab.get(g, -1) for g in extract_ngrams(w, n)] for w in words]
+    assert counts.tolist() == [len(w) for w in want]
+    assert ids.tolist() == [i for w in want for i in w]
+
+
+def test_lone_surrogates_and_wide_code_points_score_as_the_oracle():
+    # features with U+0100, astral letters and a surrogate, in the word and n-gram domains
+    registry = make_registry()
+    params = HeliParams(n_max=3)
+    tables = {
+        "fkv": {"word": {" a\ud800 ": 0.5}, "3": {"a\ud800 ": 1.0, " 𝔞Ā": 2.0}, "2": {"\ud800 ": 0.25},
+                "1": {"Ā": 1.5}},
+        "izh": {"3": {" a\ud800": 3.0}, "2": {" 𝔞": 0.75, "Ā ": 1.25}, "1": {"a": 0.5}},
+    }
+    models = {
+        code: LanguageModel(code, {d: tables[code].get(d, {}) for d in params.domains()},
+                            {d: 1 for d in params.domains()})
+        for code in tables
+    }
+    ms = ModelSet(params, models, registry)
+    scorer = Scorer(ms)
+    rows, codes = scorer.candidate_rows()
+    words = ["a\ud800", "\ud800", "𝔞Ā", "Ā\ud800", "b\ud800a", "𝔞"]
+    table, index, domains = scorer.score_words(words, rows)
+    decided = set()
+    for word, row, domain in zip(words, table[index], [domains[i] for i in index]):
+        want = oracle_score_word(word, tables, codes, params.n_max, params.penalty_p, params.use_words)
+        assert row.tolist() == [want[c] for c in codes], word
+        decided.add(domain)
+    assert decided == {"word", "3", "2", "1"}
+
+
+def test_a_loaded_copy_builds_the_same_scorer_arrays(tmp_path):
+    # corpora out of registry order, letters past U+00FF and astral ones
+    rng = random.Random(31)
+    registry = make_registry()
+    letters = "abcdeĀā𝔞𝔟"
+    corpora = [
+        Corpus(language=code, sentences=tuple(
+            " ".join("".join(rng.choice(letters) for _ in range(rng.randint(1, 6))) for _ in range(5))
+            for _ in range(6)
+        ))
+        for code in reversed(registry.codes())
+    ]
+    trained = train_models(corpora, HeliParams(n_max=4), registry)
+    save_models(trained, tmp_path / "m")
+    built, loaded = Scorer(trained), Scorer(load_models(tmp_path / "m"))
+    assert list(built._keys) == list(loaded._keys) == ["1", "2", "3", "4"]
+    for name in ("_keys", "_indptr", "_rows", "_scores"):
+        for domain in built._keys:
+            array, other = getattr(built, name)[domain], getattr(loaded, name)[domain]
+            assert (array.dtype, array.shape) == (other.dtype, other.shape), (name, domain)
+            assert array.tobytes() == other.tobytes(), (name, domain)
+
+    # the word dict numbers its columns in table order, which training and loading do not share
+    def word_columns(scorer):
+        indptr, rows, scores = (getattr(scorer, name)["word"] for name in ("_indptr", "_rows", "_scores"))
+        return {
+            word: (rows[indptr[j] : indptr[j + 1]].tobytes(), scores[indptr[j] : indptr[j + 1]].tobytes())
+            for word, j in scorer._vocabs["word"].items()
+        }
+
+    assert word_columns(built) == word_columns(loaded)
+
+
+def test_a_hand_built_ngram_that_breaks_the_width_rule_is_refused():
+    for feature in ("abc", "a", "a\0"):
+        ms = hand_model_set({"fkv": {"2": {"ab": 0.5, feature: 0.5}}})
+        with pytest.raises(DataError) as info:
+            Scorer(ms)
+        assert str(info.value) == (
+            f"feature {feature!r} is not a 2-gram: an n-gram is n code points, none of them U+0000"
+        )
 
 
 def test_scorer_memory_grows_with_stored_features_not_languages_times_vocabulary():
@@ -733,7 +832,7 @@ def test_scorer_memory_grows_with_stored_features_not_languages_times_vocabulary
         for domain, array in value.items() if isinstance(value, dict) else ():
             if isinstance(array, np.ndarray):
                 stored = sum(len(m.domains[domain]) for m in ms.models.values())
-                assert array.size <= stored + len(scorer._vocabs[domain]) + 1, (name, domain)
+                assert array.size <= stored + len(vocabulary(scorer, domain)) + 1, (name, domain)
                 held += 1
     assert held >= len(ms.params.domains())
 

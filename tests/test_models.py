@@ -301,6 +301,11 @@ def _izh_rows_first(rows):
     return rows[:at] + izh_rows + [row for row in model_rows if row not in izh_rows], at + 1
 
 
+def _second_feature(feature):
+    """Line 2 of fkv.1.tsv, 'a\t0.6020599913', with its feature written as ``feature``."""
+    return lambda rows: (rows[:1] + [rows[1].replace("a\t", f"{feature}\t", 1)] + rows[2:], 2)
+
+
 def _first_score_text(text):
     """Line 1 of fkv.1.tsv, ' \t0.3010299957', with its score written as ``text``."""
     return lambda rows: ([rows[0].replace("\t0.3010299957", f"\t{text}")] + rows[1:], 1)
@@ -324,10 +329,16 @@ def _first_score_text(text):
         ("models/fkv.1.tsv", _first_score_text(" 0.3010299957"), "bad score ' 0.3010299957'"),
         ("models/fkv.1.tsv", _first_score_text("+0.3010299957"), "bad score '+0.3010299957'"),
         ("models/fkv.1.tsv", _first_score_text("0.3010299957e0"), "bad score '0.3010299957e0'"),
+        ("models/fkv.1.tsv", lambda rows: (rows[:2] + rows[1:], 3), "features out of order at 'a'"),
+        ("models/fkv.1.tsv", _second_feature("aa"),
+         "feature 'aa' is not a 1-gram: an n-gram is n code points, none of them U+0000"),
+        ("models/fkv.1.tsv", _second_feature("\0"),
+         "feature '\\x00' is not a 1-gram: an n-gram is n code points, none of them U+0000"),
     ],
     ids=["second-param", "unknown-param", "comment", "blank", "negative-total", "signed-total",
          "no-cjkblocks", "blank-model-line", "izh-rows-first", "no-last-model-row", "score-trailing-zero",
-         "score-leading-space", "score-plus-sign", "score-exponent"],
+         "score-leading-space", "score-plus-sign", "score-exponent", "repeated-feature", "wide-ngram",
+         "nul-ngram"],
 )
 def test_rows_save_models_never_writes_name_their_line(
     tmp_path, capsys, monkeypatch, file, edit, message
@@ -393,10 +404,16 @@ def test_registry_refuses_what_no_manifest_can_hold(name, blocks, message):
         (lambda m: {"domains": {**m.domains, "2": {}}},
          "model fkv: domains ['1', '2', 'word'], the params give ['1', 'word']"),
         (lambda m: {"language": "izh"}, "model fkv: language is 'izh'"),
+        (lambda m: {"domains": {**m.domains, "1": {"a": 1.0, "ab": 1.0}}},
+         "model fkv 1: feature 'ab' is not a 1-gram: an n-gram is n code points, none of them U+0000"),
+        (lambda m: {"domains": {**m.domains, "1": {"a": 1.0, "\0": 1.0}}},
+         "model fkv 1: feature '\\x00' is not a 1-gram: an n-gram is n code points, none of them U+0000"),
+        (lambda m: {"domains": {**m.domains, "1": {"a": 1.0, "": 1.0}}},
+         "model fkv 1: feature '' is not a 1-gram: an n-gram is n code points, none of them U+0000"),
     ],
     ids=["negative-total", "float-total", "bool-total", "high-score", "negative-score", "nan-score",
          "rounded-score", "unquantized-log", "tab-feature", "lone-surrogate", "missing-domain",
-         "extra-domain", "other-language"],
+         "extra-domain", "other-language", "wide-ngram", "nul-ngram", "empty-ngram"],
 )
 def test_save_models_refuses_what_would_not_load_back_equal(tmp_path, change, message):
     ms = train_models([corpus("fkv", "ab ab")], HeliParams(n_max=1), make_registry())
@@ -554,3 +571,63 @@ def test_model_set_rejects_unregistered_models():
     model = LanguageModel("xxz", {"word": {}, "1": {}}, {"word": 0, "1": 0})
     with pytest.raises(DataError):
         ModelSet(params=HeliParams(n_max=1), models={"xxz": model}, registry=reg)
+
+
+def test_loaded_ngram_tables_equal_the_trained_dicts_both_ways(tmp_path):
+    # letters past U+00FF, one whose UTF-32 ends in a zero byte (U+0100), and astral ones
+    corpora = [
+        corpus("fkv", "ab ba ĀĀb 𝔞b", "aĀ 𝔞𝔞𝔞 b"),
+        corpus("izh", "fg Āf 𝔣𝔤 gf"),
+        corpus("vep", ""),
+    ]
+    trained = train_models(corpora, HeliParams(n_max=4), make_registry())
+    save_models(trained, tmp_path / "m")
+    loaded = load_models(tmp_path / "m")
+    assert loaded == trained and trained == loaded
+    tables = 0
+    for code, model in trained.models.items():
+        for domain, want in model.domains.items():
+            table = loaded.models[code].domains[domain]
+            assert table == want and want == table
+            if domain == WORD_DOMAIN:
+                assert type(table) is dict
+                continue
+            tables += 1
+            assert isinstance(table, models.NgramTable) and table.features.dtype == f"<U{domain}"
+            # the file's order: sorted by feature
+            assert list(dict(table)) == list(table) == sorted(want)
+            assert list(table.items()) == sorted(want.items())
+            assert list(table.values()) == [want[f] for f in sorted(want)]
+            assert len(table) == len(want) and all(f in table for f in want)
+            for missing in ["zz"[: int(domain)], "a" * (int(domain) + 1), "", 7, ("a",)]:
+                assert missing not in table and table.get(missing) is None
+            with pytest.raises(KeyError):
+                table["q" * int(domain)]
+            with pytest.raises(ValueError):
+                table.scores[:1] = 0.0  # read-only
+    assert tables == 3 * 4
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        # a score out of range on line 1 and a bad score on line 3: the lower line wins
+        ([" \t9.5", "a\t0.6020599913", "b\tx"], 1, "score 9.5 outside [0, 6.301030]"),
+        # out of order and a bad score on the same line: the earlier rule wins
+        ([" \t0.3010299957", " \tx", "b\t0.6020599913"], 2, "features out of order at ' '"),
+        # too wide and out of order on line 2, a row without a tab on line 3
+        (["b\t0.3010299957", "aa\t0.3010299957", "c"], 2,
+         "feature 'aa' is not a 1-gram: an n-gram is n code points, none of them U+0000"),
+        # two tabs on line 2, a bad score on line 1
+        ([" \t+1", "a\t0.6\t1"], 1, "bad score '+1'"),
+        ([" \t0.3010299957", "a\t0.6\t1"], 2, "expected feature<TAB>score"),
+    ],
+    ids=["range-before-score", "order-before-score", "width-before-order", "score-before-shape", "shape"],
+)
+def test_a_file_with_several_faults_names_its_lowest_faulty_line(tmp_path, rows, line, message):
+    save_models(train_models([corpus("fkv", "ab ab")], HeliParams(n_max=1), make_registry()), tmp_path / "m")
+    path = tmp_path / "m" / "models" / "fkv.1.tsv"
+    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_models(tmp_path / "m")
+    assert str(info.value) == f"{path}:{line}: {message}"
