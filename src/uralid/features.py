@@ -69,6 +69,23 @@ def ngram_keys(cp: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
     return cp[starts[:, None] + np.arange(n)].view(f"<U{n}")[:, 0]
 
 
+def padded_code_points(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The code points of the space-padded words laid end to end, and each padded
+    word's start and length there."""
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
+    return code_points("".join(map(pad_word, words))), lengths.cumsum() - lengths, lengths
+
+
+def ngram_windows(cp, starts, lengths, n) -> tuple[np.ndarray, np.ndarray]:
+    """Each n-gram of each padded word at ``starts`` in ``cp`` as a ``<U{n}`` key, in
+    word and then position order, and each word's n-gram count,
+    ``max(0, length - n + 1)``: the n-grams ``extract_ngrams`` gives, read at once."""
+    counts = np.maximum(lengths - n + 1, 0)
+    # window k of a word starts k code points after the word
+    first = np.repeat(starts - (counts.cumsum() - counts), counts) + np.arange(counts.sum())
+    return ngram_keys(cp, first, n), counts
+
+
 def all_domains(n_max: int, use_words: bool) -> list[str]:
     """Domain keys for n-gram lengths 1..n_max ("1", "2", ...), then the word domain if used."""
     return [str(n) for n in range(1, n_max + 1)] + ([WORD_DOMAIN] if use_words else [])

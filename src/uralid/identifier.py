@@ -42,8 +42,10 @@ from itertools import accumulate, chain
 import numpy as np
 
 # extract_ngrams stays importable from here: the traced benchmark wraps it in this module.
-from .features import WORD_DOMAIN, code_points, extract_ngrams, ngram_keys, pad_word, tokenize
-from .models import ModelSet, table_arrays
+from .features import (
+    WORD_DOMAIN, code_points, extract_ngrams, ngram_windows, pad_word, padded_code_points, tokenize,
+)
+from .models import ModelSet, run_starts, table_arrays
 from .registry import DEFAULT_CJK_BLOCKS, LanguageRegistry
 
 # Added to every non-CJK candidate when a text trips the CJK check. Any
@@ -171,21 +173,11 @@ def apply_cjk_sanity(
     return np.where((2 * cjk > visible)[:, None] & non_cjk, scores + CJK_HIGH_PENALTY, scores)
 
 
-def padded_code_points(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The code points of the space-padded words laid end to end, and each padded
-    word's start and length there."""
-    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
-    return code_points("".join(map(pad_word, words))), lengths.cumsum() - lengths, lengths
-
-
 def window_columns(keys, cp, starts, lengths, n) -> tuple[np.ndarray, np.ndarray]:
     """The column in ``keys`` (sorted, non-empty) of each n-gram of each padded word at
     ``starts`` in ``cp``, -1 for one ``keys`` lacks, in word and then position order;
-    and each word's n-gram count, ``max(0, length - n + 1)`` as ``extract_ngrams`` gives."""
-    counts = np.maximum(lengths - n + 1, 0)
-    # window k of a word starts k code points after the word
-    first = np.repeat(starts - (counts.cumsum() - counts), counts) + np.arange(counts.sum())
-    windows = ngram_keys(cp, first, n)
+    and each word's n-gram count, as ``ngram_windows`` gives them."""
+    windows, counts = ngram_windows(cp, starts, lengths, n)
     at = np.minimum(np.searchsorted(keys, windows), keys.shape[0] - 1)
     return np.where(keys[at] == windows, at, -1), counts
 
@@ -238,7 +230,7 @@ class Scorer:
                 values = np.concatenate([np.empty(0)] + [v for _, v in arrays])
                 order = np.argsort(keys, kind="stable")
                 keys = keys[order]
-                first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.shape[0]])
+                first = run_starts(keys)
                 self._keys[domain] = keys[first]
                 self._indptr[domain] = np.append(first, keys.shape[0])
             rows = np.repeat(np.array([i for i, _ in models], dtype=np.int32), [len(t) for t in tables])

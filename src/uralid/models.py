@@ -9,19 +9,23 @@ digits at training time, which is also the on-disk precision, so the TSV
 round-trip is bit-exact.
 
 Training counts types first: each corpus's tokens become one count per word
-type, in first-occurrence order, and each type's features are added once,
-weighted by that count. Features are thus first met in the same order as in
-a token-by-token pass, so the counts, the scores and each table's key order
-equal that pass's, while the work grows with the types, not the tokens. Each
-distinct count is scored once, and saving renders each distinct score once.
+type, in first-occurrence order. For each n, every n-gram window of every
+type is read at once from the types' padded code points (``ngram_windows``,
+the rule identify looks n-grams up by), the windows are sorted, and each
+distinct one sums its types' counts as exact integers. The counts equal a
+token-by-token pass's, while the work grows with the types, not the tokens.
+Each distinct count is scored once. An n-gram domain thus comes out as an
+``NgramTable``: its features one array of fixed-width ``<U{n}`` keys, sorted,
+and its scores one float array. The word domain, whose features have no fixed
+width, stays a dict in first-occurrence order.
 
-Loading keeps no per-feature Python object for an n-gram domain: a model
-file becomes an ``NgramTable``, its features one array of fixed-width keys
-gathered from the file's code points and its scores one float array. Every
-n-gram feature is exactly n code points, none of them U+0000 (the width
-rule, which ``save_models`` and ``load_models`` both enforce), and a file
-is sorted by feature, so its keys come out sorted. The word domain, whose
-features have no fixed width, stays a dict.
+Loading gives the same layout and keeps no per-feature Python object for an
+n-gram domain: a model file's features are gathered from its code points.
+Every n-gram feature is exactly n code points, none of them U+0000 (the width
+rule, which ``save_models`` and ``load_models`` both enforce), and a file is
+sorted by feature, so its keys come out sorted. ``save_models`` writes an
+``NgramTable`` straight from its arrays, with its checks as masks over the
+keys' code points, and each distinct score rendered once.
 
 Model directory layout::
 
@@ -43,8 +47,10 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, read_utf8, split_records, unify_line_ends
+# extract_ngrams stays importable from here: the traced benchmark wraps it in this module.
 from .features import (
-    WORD_DOMAIN, all_domains, code_points, extract_ngrams, ngram_keys, pad_word, tokenize,
+    WORD_DOMAIN, all_domains, code_points, extract_ngrams, ngram_keys, ngram_windows, pad_word,
+    padded_code_points, tokenize,
 )
 from .registry import LanguageRegistry, parse_registry
 
@@ -149,8 +155,8 @@ def table_arrays(table: Mapping[str, float], n: int) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class LanguageModel:
-    """Per-domain feature score maps for one language: dicts from training, and
-    from loading a dict for the word domain and an ``NgramTable`` for each n-gram one."""
+    """Per-domain feature score maps for one language: from training and from loading,
+    a dict for the word domain and an ``NgramTable`` for each n-gram one."""
 
     language: str
     domains: dict[str, Mapping[str, float]]
@@ -195,16 +201,45 @@ def quantize_score(score: float) -> float:
     return float(_score_text(score))
 
 
+def _score_of(counts, total: int, cutoff_c: float) -> dict[int, float]:
+    """The score of each of the distinct ``counts`` whose relative frequency in
+    ``total`` reaches the cutoff, in ``counts`` order: the one scoring rule."""
+    score_of: dict[int, float] = {}
+    for count in counts:
+        rel = count / total
+        if rel >= cutoff_c:
+            score_of[count] = 0.0 if count == total else quantize_score(-math.log10(rel))
+    return score_of
+
+
 def _score_counts(counts: dict[str, int], cutoff_c: float) -> tuple[dict[str, float], int]:
     """Scores of the features whose relative frequency reaches the cutoff, in
     ``counts`` order, and the total; each distinct count is scored once."""
     total = sum(counts.values())
-    score_of: dict[int, float] = {}
-    for count in set(counts.values()):
-        rel = count / total
-        if rel >= cutoff_c:
-            score_of[count] = 0.0 if count == total else quantize_score(-math.log10(rel))
+    score_of = _score_of(set(counts.values()), total, cutoff_c)
     return {f: score_of[c] for f, c in counts.items() if c in score_of}, total
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted ``ordered`` starts."""
+    new = np.ones(ordered.shape[0], dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return np.flatnonzero(new)
+
+
+def _score_windows(windows: np.ndarray, weights: np.ndarray, cutoff_c: float) -> tuple[NgramTable, int]:
+    """The table of the distinct ``windows`` whose relative frequency reaches the cutoff,
+    each counted as the sum of its occurrences' int64 ``weights``, and the total."""
+    order = windows.argsort()
+    windows = windows[order]
+    first = run_starts(windows)
+    counts = np.add.reduceat(weights[order], first)  # integer sums, so exact
+    total = int(counts.sum())
+    distinct, at = np.unique(counts, return_inverse=True)
+    score_of = _score_of(distinct.tolist(), total, cutoff_c)
+    scores = np.array([score_of.get(count, np.nan) for count in distinct.tolist()])[at]
+    kept = ~np.isnan(scores)
+    return NgramTable(windows[first[kept]], scores[kept]), total
 
 
 def train_models(
@@ -227,22 +262,21 @@ def train_models(
 
     models: dict[str, LanguageModel] = {}
     for corpus in corpora:
-        # word types in first-occurrence order, so features are first met in token order
+        # word types in first-occurrence order, the word domain's key order
         types = Counter(chain.from_iterable(map(tokenize, corpus.sentences)))
-        counts: dict[str, dict[str, int]] = {}
-        for n in range(1, params.n_max + 1):
-            table: dict[str, int] = {}
-            get = table.get
-            for word, count in types.items():
-                for gram in extract_ngrams(word, n):
-                    table[gram] = get(gram, 0) + count
-            counts[str(n)] = table
-        if params.use_words:
-            counts[WORD_DOMAIN] = {pad_word(word): count for word, count in types.items()}
-        scored: dict[str, dict[str, float]] = {}
+        weights = np.fromiter(types.values(), np.int64, len(types))
+        cp, starts, lengths = padded_code_points(list(types))
+        scored: dict[str, Mapping[str, float]] = {}
         totals: dict[str, int] = {}
-        for domain in params.domains():
-            scored[domain], totals[domain] = _score_counts(counts[domain], params.cutoff_c)
+        for n in range(1, params.n_max + 1):
+            windows, counts = ngram_windows(cp, starts, lengths, n)
+            scored[str(n)], totals[str(n)] = _score_windows(
+                windows, np.repeat(weights, counts), params.cutoff_c
+            )
+        if params.use_words:
+            scored[WORD_DOMAIN], totals[WORD_DOMAIN] = _score_counts(
+                {pad_word(word): count for word, count in types.items()}, params.cutoff_c
+            )
         models[corpus.language] = LanguageModel(corpus.language, scored, totals)
     return ModelSet(params=params, models=models, registry=registry)
 
@@ -290,12 +324,54 @@ def _width_fault(feature: str, n: int) -> str:
     return f"feature {feature!r} is not a {n}-gram: an n-gram is n code points, none of them U+0000"
 
 
+def _line_break_fault(feature: str) -> str:
+    return f"feature {feature!r} holds a tab or line break"
+
+
+def _utf8_fault(feature: str) -> str:
+    return f"feature {feature!r} cannot be written as UTF-8"
+
+
+def _dict_fault(table: Mapping[str, float], domain: str) -> str | None:
+    """Why a dict table's features cannot be saved as they are, or None."""
+    joined = "".join(table)  # one scan of every feature, not one per feature
+    if any(c in joined for c in "\t\r\n"):
+        return _line_break_fault(next(f for f in table if any(c in f for c in "\t\r\n")))
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return _utf8_fault(next(f for f, end in zip(table, accumulate(map(len, table))) if end > exc.start))
+    bad = None if domain == WORD_DOMAIN else _width_rule_breaker(table, joined, int(domain))
+    return None if bad is None else _width_fault(bad, int(domain))
+
+
+def _array_fault(table: NgramTable, n: int) -> str | None:
+    """Why an ``NgramTable``'s keys cannot be written as the rows of an n-gram file,
+    or None; each rule is a mask over their code points or over the keys."""
+    keys = table.features
+    if keys.dtype != np.dtype(f"<U{n}"):
+        return f"features are {keys.dtype} keys, not <U{n}"
+    cp = keys.view("<u4")  # row i's code points are cp[i * n : (i + 1) * n]
+    for bad, describe in (
+        ((cp == 9) | (cp == 10) | (cp == 13), _line_break_fault),
+        ((cp >= 0xD800) & (cp <= 0xDFFF), _utf8_fault),  # lone surrogates
+        (cp == 0, lambda feature: _width_fault(feature, n)),  # a shorter key ends in U+0000s
+    ):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            return describe(str(keys[hits[0] // n]))
+    repeats = np.flatnonzero(~(keys[1:] > keys[:-1]))
+    return f"features out of order at {str(keys[repeats[0] + 1])!r}" if repeats.size else None
+
+
 def _check_model(
     code: str, model: LanguageModel, params: HeliParams
 ) -> dict[str, dict[float, str]]:
     """Raise a DataError, naming the code and domain, for what ``load_models``
     would reject or read back unequal; else return each domain's score texts as
-    ``save_models`` writes them, one per distinct score."""
+    ``save_models`` writes them, one per distinct score, ascending. An
+    ``NgramTable`` is written in its own order, so its keys must also be strictly
+    ascending."""
     if model.language != code:
         raise DataError(f"model {code}: language is {model.language!r}")
     domains, max_score = params.domains(), params.max_score()
@@ -308,26 +384,22 @@ def _check_model(
         total, table = model.totals[domain], model.domains[domain]
         if type(total) is not int or total < 0:
             raise DataError(f"{where}: total {total!r} is not a non-negative int")
-        joined = "".join(table)  # one scan of every feature, not one per feature
-        if any(c in joined for c in "\t\r\n"):
-            bad = next(f for f in table if any(c in f for c in "\t\r\n"))
-            raise DataError(f"{where}: feature {bad!r} holds a tab or line break")
-        try:
-            joined.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            bad = next(f for f, end in zip(table, accumulate(map(len, table))) if end > exc.start)
-            raise DataError(f"{where}: feature {bad!r} cannot be written as UTF-8") from None
-        bad = None if domain == WORD_DOMAIN else _width_rule_breaker(table, joined, int(domain))
-        if bad is not None:
-            raise DataError(f"{where}: {_width_fault(bad, int(domain))}")
-        outside = _outside_range(np.fromiter(table.values(), np.float64, len(table)), max_score)
+        if isinstance(table, NgramTable):
+            fault, scores = _array_fault(table, int(domain)), table.scores
+        else:
+            fault, scores = _dict_fault(table, domain), np.fromiter(table.values(), np.float64, len(table))
+        if fault is not None:
+            raise DataError(f"{where}: {fault}")
+        outside = _outside_range(scores, max_score)
         if outside.any():
-            feature, score = list(table.items())[outside.argmax()]
+            at = int(outside.argmax())
+            score, feature = scores.item(at), list(table)[at]
             raise DataError(f"{where}: score {score!r} of {feature!r} outside [0, {max_score:.6f}]")
-        texts[domain] = {score: _score_text(score) for score in dict.fromkeys(table.values())}
+        ordered = np.sort(scores)
+        texts[domain] = {score: _score_text(score) for score in ordered[run_starts(ordered)].tolist()}
         for score, text in texts[domain].items():
             if _parse_score(text) != score:
-                feature = next(f for f, s in table.items() if s == score)
+                feature = list(table)[int(np.argmax(scores == score))]
                 raise DataError(f"{where}: score {score!r} of {feature!r} would load back as {text}")
     return texts
 
@@ -355,12 +427,13 @@ def save_models(model_set: ModelSet, directory) -> None:
         model, rel_path = model_set.models[code], _model_path(code, domain)
         manifest.append(f"model\t{code}\t{domain}\t{rel_path}\t{model.totals[domain]}")
         table, text_of = model.domains[domain], texts[code][domain]
-        if isinstance(table, NgramTable):  # a dict looks each feature up in one step
-            table = dict(table.items())
-        (directory / rel_path).write_text(
-            "".join([f"{feature}\t{text_of[table[feature]]}\n" for feature in sorted(table)]),
-            encoding="utf-8",
-        )
+        if isinstance(table, NgramTable):  # sorted already: each row is a key and its score's ending
+            at = np.searchsorted(np.fromiter(text_of, np.float64, len(text_of)), table.scores)
+            ends = np.array([f"\t{text}\n" for text in text_of.values()], dtype=str)
+            rows = np.char.add(table.features, ends[at]).tolist()
+        else:
+            rows = (f"{feature}\t{text_of[table[feature]]}\n" for feature in sorted(table))
+        (directory / rel_path).write_text("".join(rows), encoding="utf-8")
     (directory / "manifest.tsv").write_text(
         "".join(line + "\n" for line in manifest), encoding="utf-8"
     )

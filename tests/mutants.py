@@ -42,21 +42,30 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-IDENTIFIER, MODELS = "src/uralid/identifier.py", "src/uralid/models.py"
+FEATURES, IDENTIFIER, MODELS = "src/uralid/features.py", "src/uralid/identifier.py", "src/uralid/models.py"
 TEST_IDENTIFIER, TEST_MODELS = ("tests/test_identifier.py",), ("tests/test_models.py",)
 
 MUTANTS = [
-    # n-gram lookup through sorted key arrays
-    Mutant("window-start-off-by-one", IDENTIFIER,
-           "counts) + np.arange(counts.sum())", "counts) + np.arange(counts.sum()) + 1", TEST_IDENTIFIER),
+    # n-gram windows, shared by training and lookup, and lookup through sorted key arrays
+    Mutant("window-start-off-by-one", FEATURES,
+           "counts) + np.arange(counts.sum())", "counts) + np.arange(counts.sum()) + 1",
+           TEST_IDENTIFIER + TEST_MODELS),
     Mutant("searchsorted-hit-without-equality-check", IDENTIFIER,
            "return np.where(keys[at] == windows, at, -1), counts", "return at, counts", TEST_IDENTIFIER),
+    # training: each window counts its word type's count
+    Mutant("type-counts-dropped-from-the-windows", MODELS,
+           "windows, np.repeat(weights, counts), params.cutoff_c",
+           "windows, np.repeat(np.ones_like(weights), counts), params.cutoff_c", TEST_MODELS),
     # model files: strictly ascending features, the width rule at load and at save
     Mutant("order-check-allows-repeats", MODELS,
            "~(column[1:] > column[:-1])", "~(column[1:] >= column[:-1])", TEST_MODELS),
     Mutant("load-drops-width-check", MODELS,
            "rule((tabs - starts != n) | within,", "rule(within,", TEST_MODELS),
     Mutant("save-drops-width-check", MODELS,
+           "(cp == 0, lambda feature: _width_fault(feature, n)),", "", TEST_MODELS),
+    Mutant("save-allows-repeated-keys", MODELS,
+           "~(keys[1:] > keys[:-1])", "~(keys[1:] >= keys[:-1])", TEST_MODELS),
+    Mutant("save-drops-width-check-on-dict-tables", MODELS,
            "bad = None if domain == WORD_DOMAIN else _width_rule_breaker(table, joined, int(domain))",
            "bad = None", TEST_MODELS),
     # the word cache: one table per candidate set, dropped past the limit

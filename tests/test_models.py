@@ -5,6 +5,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,8 +129,9 @@ def test_empty_corpus_trains_empty_model():
 
 def reference_train(corpora, params, registry):
     """Training as a per-token loop: every n-gram of every token counted one at a
-    time, every feature scored on its own. ``train_models`` must give back the same
-    scores, totals and key order."""
+    time, every feature scored on its own, each domain in first-occurrence order.
+    ``train_models`` must give back the same scores and totals, with the word
+    domain in that order and each n-gram domain sorted by key."""
     models = {}
     for corpus in corpora:
         counters = {domain: Counter() for domain in params.domains()}
@@ -149,6 +151,23 @@ def reference_train(corpora, params, registry):
             }
         models[corpus.language] = LanguageModel(corpus.language, scored, totals)
     return ModelSet(params, models, registry)
+
+
+def assert_trained_as_reference(ms, reference):
+    """The same models, totals and scores, with the word domain in first-occurrence
+    order and each n-gram domain an ``NgramTable`` sorted by key, its file's order."""
+    assert list(ms.models) == list(reference.models)
+    for code, model in ms.models.items():
+        want = reference.models[code]
+        assert list(model.totals.items()) == list(want.totals.items())
+        assert all(type(total) is int for total in model.totals.values())
+        assert list(model.domains) == list(want.domains)
+        for domain, table in model.domains.items():
+            if domain == WORD_DOMAIN:
+                assert list(table.items()) == list(want.domains[domain].items())
+            else:
+                assert isinstance(table, models.NgramTable) and table.features.dtype == f"<U{domain}"
+                assert list(table.items()) == sorted(want.domains[domain].items())
 
 
 NO_POOL_SENTENCES = ["", "  ", "123 456", "... !", "日本語 東京", "中文漢字 日本語 東京"]
@@ -182,17 +201,37 @@ def test_training_matches_bruteforce_counting():
         corpora = [Corpus(language=c, sentences=tuple(s)) for c, s in text.items()]
         ms = train_models(corpora, params, reg)
         assert to_oracle_models(ms) == oracle_train(text, params.n_max, params.cutoff_c, params.use_words)
-        reference = reference_train(corpora, params, reg)
-        assert list(ms.models) == list(reference.models)
-        for code, model in ms.models.items():
-            want = reference.models[code]
-            assert list(model.totals.items()) == list(want.totals.items())
-            assert list(model.domains) == list(want.domains)
-            for domain, table in model.domains.items():
-                assert list(table.items()) == list(want.domains[domain].items())
+        assert_trained_as_reference(ms, reference_train(corpora, params, reg))
+        for code in ms.models:
             types = Counter(w for s in text[code] for w in tokenize(s))
             repeated_types += sum(count > 1 for count in types.values())
     assert repeated_types > 100
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 6])
+def test_training_matches_the_reference_on_unusual_corpora(n_max):
+    corpora = [
+        # astral letters: U+10400 lowercases to U+10428
+        corpus("fkv", "\U00010400\U00010428 a\U00010428b \U00010428", "x " + "\U00010428" * 7),
+        # İ lowercases to i and a combining dot (not a letter); ς ends a lowercased word
+        corpus("izh", "İstanbul İİ iİ", "ΟΔΟΣ ΣΟΦΟΣ σας"),
+        # words of one or two letters, with no windows once n exceeds their padded length
+        corpus("vep", "a b c ab a", "ba"),
+        corpus("swe"),
+        corpus("fin", "123 ... !?", "  ", ""),
+        # one type 10^5 times: its counts and totals must be exact integers
+        corpus("liv", "kala " * 100_000 + "kalat"),
+    ]
+    registry = make_registry(["fkv", "izh", "vep", "swe", "fin", "liv"])
+    for params in (HeliParams(n_max=n_max), HeliParams(n_max=n_max, cutoff_c=0.001, use_words=False)):
+        ms = train_models(corpora, params, registry)
+        assert_trained_as_reference(ms, reference_train(corpora, params, registry))
+        liv = ms.models["liv"]
+        assert liv.totals[str(n_max)] == 100_000 * (7 - n_max) + 8 - n_max
+        assert liv.domains["1"][" "] == quantize_score(-math.log10(200_002 / 600_007))
+    assert ms.models["izh"].domains["1"]["ς"] > 0 and "ς" not in ms.models["vep"].domains["1"]
+    assert all(not table for table in ms.models["fin"].domains.values())
+    assert ms.models["fin"].totals == ms.models["swe"].totals == {str(n): 0 for n in range(1, n_max + 1)}
 
 
 def test_replication_invariance_quick():
@@ -273,6 +312,11 @@ def test_load_models_inverts_save_models(ms):
         assert loaded == ms
         save_models(loaded, second)
         assert directory_bytes(second) == directory_bytes(first)
+        # n-gram tables are written from their arrays, dict tables row by row: the same bytes
+        dicts = {code: LanguageModel(code, {d: dict(t) for d, t in m.domains.items()}, m.totals)
+                 for code, m in ms.models.items()}
+        save_models(ModelSet(ms.params, dicts, ms.registry), Path(scratch, "dicts"))
+        assert directory_bytes(Path(scratch, "dicts")) == directory_bytes(first)
 
 
 def test_save_models_refuses_a_set_without_models(tmp_path):
@@ -422,6 +466,50 @@ def test_save_models_refuses_what_would_not_load_back_equal(tmp_path, change, me
     with pytest.raises(DataError) as info:
         save_models(ModelSet(ms.params, {"fkv": edited}, ms.registry), tmp_path / "m")
     assert str(info.value) == message
+    assert not (tmp_path / "m").exists()
+
+
+def _ngram_table(*features, scores=None, n=1):
+    scores = [1.0] * len(features) if scores is None else scores
+    return models.NgramTable(np.array(features, dtype=f"<U{n}"), np.array(scores, dtype=np.float64))
+
+
+@pytest.mark.parametrize(
+    "domain, table, message",
+    [
+        ("1", _ngram_table("\t", "a"), "feature '\\t' holds a tab or line break"),
+        ("2", _ngram_table("a\r", "ab", n=2), "feature 'a\\r' holds a tab or line break"),
+        ("1", _ngram_table("a", "\n"), "feature '\\n' holds a tab or line break"),
+        ("1", _ngram_table("a", "\ud800"), "feature '\\ud800' cannot be written as UTF-8"),
+        ("2", _ngram_table("\0a", "ab", n=2),
+         "feature '\\x00a' is not a 2-gram: an n-gram is n code points, none of them U+0000"),
+        ("2", _ngram_table("a", "ab", n=2),
+         "feature 'a' is not a 2-gram: an n-gram is n code points, none of them U+0000"),
+        ("1", _ngram_table("", "a"),
+         "feature '' is not a 1-gram: an n-gram is n code points, none of them U+0000"),
+        ("2", _ngram_table("ab", n=3), "features are <U3 keys, not <U2"),
+        ("1", _ngram_table("a", "b", "b"), "features out of order at 'b'"),
+        ("2", _ngram_table("ab", "ba", "aa", n=2), "features out of order at 'aa'"),
+        ("1", _ngram_table("a", "b", scores=[1.0, 9.5]), "score 9.5 of 'b' outside [0, 6.301030]"),
+        ("1", _ngram_table("a", scores=[math.nan]), "score nan of 'a' outside [0, 6.301030]"),
+        ("1", _ngram_table("a", "b", scores=[0.5, 0.30102999566398120]),
+         "score 0.3010299956639812 of 'b' would load back as 0.3010299957"),
+        # a line break is reported before the width rule, that before the order
+        ("2", _ngram_table("b", "a\n", n=2), "feature 'a\\n' holds a tab or line break"),
+        ("2", _ngram_table("bb", "a", n=2),
+         "feature 'a' is not a 2-gram: an n-gram is n code points, none of them U+0000"),
+    ],
+    ids=["tab", "cr", "lf", "lone-surrogate", "nul-ngram", "short-ngram", "empty-ngram", "wide-keys",
+         "repeated-key", "descending-keys", "high-score", "nan-score", "unquantized-log",
+         "line-break-before-width", "width-before-order"],
+)
+def test_save_models_refuses_ngram_tables_that_would_not_load_back_equal(tmp_path, domain, table, message):
+    ms = train_models([corpus("fkv", "ab ab")], HeliParams(n_max=2), make_registry())
+    model = ms.models["fkv"]
+    edited = LanguageModel("fkv", {**model.domains, domain: table}, model.totals)
+    with pytest.raises(DataError) as info:
+        save_models(ModelSet(ms.params, {"fkv": edited}, ms.registry), tmp_path / "m")
+    assert str(info.value) == f"model fkv {domain}: {message}"
     assert not (tmp_path / "m").exists()
 
 
@@ -586,14 +674,17 @@ def test_loaded_ngram_tables_equal_the_trained_dicts_both_ways(tmp_path):
     assert loaded == trained and trained == loaded
     tables = 0
     for code, model in trained.models.items():
-        for domain, want in model.domains.items():
-            table = loaded.models[code].domains[domain]
+        for domain, trained_table in model.domains.items():
+            table, want = loaded.models[code].domains[domain], dict(trained_table)
             assert table == want and want == table
             if domain == WORD_DOMAIN:
                 assert type(table) is dict
                 continue
             tables += 1
             assert isinstance(table, models.NgramTable) and table.features.dtype == f"<U{domain}"
+            # training gives the loader's layout
+            assert np.array_equal(table.features, trained_table.features)
+            assert np.array_equal(table.scores, trained_table.scores)
             # the file's order: sorted by feature
             assert list(dict(table)) == list(table) == sorted(want)
             assert list(table.items()) == sorted(want.items())
