@@ -18,7 +18,7 @@ from .evaluation import (
     track2,
     track3,
 )
-from .features import extract_ngrams, pad_word, tokenize
+from .features import extract_ngrams, pad_word, tokenize, tokenize_chunk
 from .identifier import (
     Prediction,
     apply_cjk_sanity,
@@ -70,6 +70,7 @@ __all__ = [
     "save_models",
     "save_registry",
     "tokenize",
+    "tokenize_chunk",
     "track1",
     "track2",
     "track3",

@@ -16,7 +16,7 @@ from . import __version__
 from .corpus import load_corpus
 from .errors import DataError, decode_utf8, read_utf8, split_records
 from .evaluation import compute_track_scores, confusion, format_track_scores, load_labels, report
-from .identifier import format_prediction
+from .identifier import format_prediction, output_template
 from .models import HeliParams, load_models, save_models, train_models
 from .pipeline import (
     DEFAULT_MIN_SHARE,
@@ -141,8 +141,9 @@ def cmd_identify(args) -> int:
     # --out opens only once the input is read, so it may name the input file
     started = time.perf_counter()
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        template = output_template(codes, args.scores)
         for index, prediction in enumerate(scorer.predictions(sentences, rows, codes)):
-            out.write(format_prediction(index, prediction, args.scores) + "\n")
+            out.write(format_prediction(index, prediction, args.scores, template) + "\n")
     elapsed = time.perf_counter() - started
     rate = len(sentences) / elapsed if elapsed > 0 else float("inf")
     print(f"identified {len(sentences)} sentences in {elapsed:.3f}s ({rate:.0f} sentences/s)",

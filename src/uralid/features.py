@@ -3,11 +3,16 @@
 Only lowercased alphabetic characters reach the models: the input is
 Unicode-lowercased and every maximal run of letters (``str.isalpha``)
 becomes one word; everything else separates words and is discarded.
-``tokenize`` does this with one ``str.translate`` over a table that maps a
-letter to itself and any other code point to a space, then splits on the
-spaces. The table fills in as code points are met and stops growing at
-``_TABLE_LIMIT`` entries, so input of many distinct code points cannot make
-it large; code points past the limit are classified each time they occur.
+``tokenize_chunk`` does this for a list of texts in one array pass. Each
+text is lowercased on its own (``İ`` lowers to two code points, so a text's
+bounds are those of its lowered form), and the lowered texts are joined with
+one space and read once as code points. A code point below ``_TABLE_BOUND``
+is a letter by one lookup in a ``str.isalpha`` table; a higher one is
+classified once and remembered, for up to ``_MEMO_LIMIT`` code points, so
+input of many distinct code points cannot make the memo large. Every
+non-letter becomes a space, and the result is decoded and split once; each
+text's word count is the number of word starts within its bounds.
+``tokenize`` is the same rule for one text.
 
 Words are padded with exactly one space on each side before n-grams are
 taken, so boundary n-grams are distinguishable from word-internal ones.
@@ -17,31 +22,58 @@ An n-gram is therefore exactly n code points, never U+0000 (not a letter).
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 WORD_DOMAIN = "word"
 
-# Code points the tokenizer's translation table remembers. The table only
-# memoizes a function of the code point, so sharing it changes no result.
-_TABLE_LIMIT = 1 << 16
+# Code points below this bound are classified by table: the Latin, Greek, Cyrillic and other
+# alphabetic scripts, up to the start of CJK Extension A.
+_TABLE_BOUND = 0x3400
+_IS_LETTER = np.array([chr(cp).isalpha() for cp in range(_TABLE_BOUND)])
+
+# Code points at or above the bound that the memo remembers. It only memoizes a function of
+# the code point, so sharing it changes no result.
+_MEMO_LIMIT = 1 << 16
 
 
-class _Separators(dict):
-    """``str.translate`` table: a letter to itself, any other code point to a space."""
+class _HighLetters(dict):
+    """Whether a code point at or above ``_TABLE_BOUND`` is a letter, remembered up to the limit."""
 
-    def __missing__(self, cp: int) -> int | str:
-        value = cp if chr(cp).isalpha() else " "
-        if len(self) < _TABLE_LIMIT:
+    def __missing__(self, cp: int) -> bool:
+        value = chr(cp).isalpha()
+        if len(self) < _MEMO_LIMIT:
             self[cp] = value
         return value
 
 
-_SEPARATORS = _Separators()
+_HIGH_LETTERS = _HighLetters()
+
+
+def tokenize_chunk(texts: list[str]) -> tuple[list[str], np.ndarray]:
+    """The words of all the texts in order, each lowercased and split into maximal
+    alphabetic runs, and each text's word count."""
+    lowered = [text.lower() for text in texts]
+    cp = code_points(" ".join(lowered))
+    letter = _IS_LETTER[np.minimum(cp, _TABLE_BOUND - 1)]
+    high = cp >= _TABLE_BOUND
+    if high.any():
+        distinct, at = np.unique(cp[high], return_inverse=True)
+        classes = np.fromiter(map(_HIGH_LETTERS.__getitem__, distinct.tolist()), bool, distinct.shape[0])
+        letter[high] = classes[at]
+    starts = np.flatnonzero(letter & ~np.concatenate(([False], letter[:-1])))
+    # each text's first code point, then one past the last text's separator
+    bounds = np.fromiter(
+        accumulate((len(text) + 1 for text in lowered), initial=0), np.int64, len(lowered) + 1
+    )
+    words = np.where(letter, cp, 0x20).astype("<u4", copy=False).tobytes().decode("utf-32-le").split()
+    return words, np.diff(np.searchsorted(starts, bounds))
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split into maximal alphabetic runs."""
-    return text.lower().translate(_SEPARATORS).split()
+    """Lowercase and split into maximal alphabetic runs: ``tokenize_chunk`` of one text."""
+    return tokenize_chunk([text])[0]
 
 
 def pad_word(word: str) -> str:

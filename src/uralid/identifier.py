@@ -14,7 +14,9 @@ half of the non-whitespace characters fall in CJK blocks, every non-CJK
 candidate is pushed out of contention by a large constant. The characters
 of a whole chunk are counted at once, from its joined text's code points.
 
-Words are scored in batches: ``Scorer.score_words`` looks each distinct
+A chunk of sentences is tokenized at once (``features.tokenize_chunk``)
+into one flat word list and each sentence's word count, and is scored from
+them. Words are scored in batches: ``Scorer.score_words`` looks each distinct
 word up in the candidate set's score table once and scores the rest into
 its spare rows, one backoff step per feature domain. It returns the rows
 in use (read-only), each word's row index and the rows' domains. A word's
@@ -25,7 +27,8 @@ every score equals the plain left-to-right loop bit for bit.
 ``Scorer.predict`` turns a chunk of sentences into predictions from one
 such batch, applying the CJK rule and picking winners over the chunk's
 score rows at once. A ``Prediction`` holds its winner, the chunk's candidate
-codes and a read-only view of its score row; the ``scores`` dict and the
+codes, a read-only view of its score row, and its words' place in the
+chunk's flat word and domain lists; the ``scores`` dict and the
 ``domain_trace`` are built only when read. ``Scorer.predictions`` streams
 them, one ``predict`` call per chunk of ``_CHUNK_SIZE``, and
 ``Scorer.word_winners`` streams per-word winners over the same chunks, so a
@@ -41,9 +44,11 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-# extract_ngrams stays importable from here: the traced benchmark wraps it in this module.
+# extract_ngrams and tokenize stay importable from here: the traced benchmark wraps them in
+# this module.
 from .features import (
     WORD_DOMAIN, code_points, extract_ngrams, ngram_windows, pad_word, padded_code_points, tokenize,
+    tokenize_chunk,
 )
 from .models import ModelSet, run_starts, table_arrays
 from .registry import DEFAULT_CJK_BLOCKS, LanguageRegistry
@@ -67,21 +72,23 @@ class Prediction:
     (one list shared by a chunk's predictions) and ``row`` a read-only view of
     the sentence's score per code, after the CJK rule. ``scores`` (code to
     score, in ``codes`` order) and ``domain_trace`` (each token with the
-    feature domain that decided it, ``None`` for none) are built on access.
+    feature domain that decided it, ``None`` for none) are built on access,
+    from the sentence's ``count`` entries from ``start`` on in the chunk's
+    flat word and domain lists, which its predictions share.
     Two predictions are equal when their winners, codes, scores and traces are.
     """
 
-    __slots__ = ("winner", "codes", "row", "_best", "_words", "_domains", "_start")
+    __slots__ = ("winner", "codes", "row", "_best", "_words", "_domains", "_start", "_count")
 
-    def __init__(self, codes, row, best, words, domains, start):
+    def __init__(self, codes, row, best, words, domains, start, count):
         self.winner = codes[best]
         self.codes = codes
         self.row = row
         self._best = best
-        # the sentence's tokens, and their domains from domains[start:] (the chunk's list)
         self._words = words
         self._domains = domains
         self._start = start
+        self._count = count
 
     @property
     def scores(self) -> dict[str, float]:
@@ -89,7 +96,8 @@ class Prediction:
 
     @property
     def domain_trace(self) -> tuple[tuple[str, str | None], ...]:
-        return tuple(zip(self._words, self._domains[self._start : self._start + len(self._words)]))
+        end = self._start + self._count
+        return tuple(zip(self._words[self._start : end], self._domains[self._start : end]))
 
     def __eq__(self, other):
         if not isinstance(other, Prediction):
@@ -351,17 +359,18 @@ class Scorer:
         return table[index[0]], domains[index[0]]
 
     def score_sentences(
-        self, tokens: list[list[str]], rows: np.ndarray
+        self, words: list[str], counts: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, list[str | None]]:
-        """Mean word-score row of each token list, and every token's domain.
+        """Mean word-score row of each sentence, and every word's domain.
 
-        A sentence's word rows are added by ``running_sums``, in word order
-        as ``acc += row`` adds them, then divided by its token count; an
-        empty list gets the penalty row. The domains run over all the
-        tokens in order, read through ``score_words``' index.
+        ``words`` are the sentences' words laid end to end and ``counts`` each
+        sentence's word count, as ``tokenize_chunk`` gives them. A sentence's
+        word rows are added by ``running_sums``, in word order as ``acc += row``
+        adds them, then divided by its word count; a sentence without words
+        gets the penalty row. The domains run over all the words in order,
+        read through ``score_words``' index.
         """
-        table, index, domains = self.score_words(list(chain.from_iterable(tokens)), rows)
-        counts = np.array([len(words) for words in tokens], dtype=np.int64)
+        table, index, domains = self.score_words(words, rows)
         sums = running_sums(table, index, counts.cumsum() - counts, counts)
         means = sums / np.maximum(counts, 1)[:, None]
         return np.where(counts[:, None] > 0, means, self.penalty), [domains[i] for i in index.tolist()]
@@ -371,25 +380,26 @@ class Scorer:
     ) -> Iterator[list[str]]:
         """Each text's per-word winners (first minimum in ``codes`` order), a chunk at a time."""
         for chunk in _chunks(texts):
-            tokens = [tokenize(text) for text in chunk]
-            table, index, _ = self.score_words(list(chain.from_iterable(tokens)), rows)
-            best = iter(table[index].argmin(axis=1).tolist())
-            for words in tokens:
-                yield [codes[next(best)] for _ in words]
+            words, counts = tokenize_chunk(chunk)
+            table, index, _ = self.score_words(words, rows)
+            winners = [codes[best] for best in table[index].argmin(axis=1).tolist()]
+            ends = counts.cumsum().tolist()
+            for start, end in zip([0, *ends], ends):
+                yield winners[start:end]
 
     def predict(self, sentences: list[str], rows: np.ndarray, codes: list[str]) -> list[Prediction]:
         """Prediction of each sentence, over one read-only block of score rows.
 
         The CJK rule applies first; the winner is the first minimum in ``codes`` order.
         """
-        tokens = [tokenize(s) for s in sentences]
-        means, domains = self.score_sentences(tokens, rows)
+        words, counts = tokenize_chunk(sentences)
+        means, domains = self.score_sentences(words, counts, rows)
         means = apply_cjk_sanity(means, sentences, codes, self.registry)
         means.setflags(write=False)
-        starts = accumulate(map(len, tokens), initial=0)
+        starts = (counts.cumsum() - counts).tolist()
         return [
-            Prediction(codes, row, best, words, domains, start)
-            for row, best, words, start in zip(means, means.argmin(axis=1).tolist(), tokens, starts)
+            Prediction(codes, row, best, words, domains, start, count)
+            for row, best, start, count in zip(means, means.argmin(axis=1).tolist(), starts, counts.tolist())
         ]
 
     def predictions(
@@ -414,13 +424,21 @@ def identify_batch(
     return list(scorer.predictions(list(sentences), rows, codes))
 
 
-def format_prediction(index: int, prediction: Prediction, with_scores: bool) -> str:
-    """One output row: index, winner, winner score, optionally all scores."""
+def output_template(codes: list[str], with_scores: bool) -> str:
+    """The ``%`` template of an output row over ``codes`` (registry codes, which hold no
+    ``%``): index, winner and winner score, then, with scores, each code and its score."""
+    scores = "".join(f"\t{code}\t%.6f" for code in codes) if with_scores else ""
+    return "%d\t%s\t%.6f" + scores
+
+
+def format_prediction(index: int, prediction: Prediction, with_scores: bool, template=None) -> str:
+    """One output row: index, winner, winner score, optionally all scores.
+
+    ``template`` is ``output_template(prediction.codes, with_scores)``, built here when not given.
+    """
+    if template is None:
+        template = output_template(prediction.codes, with_scores)
     row = prediction.row
-    fields = [str(index), prediction.winner, f"{row.item(prediction._best):.6f}"]
-    if with_scores:
-        for code, score in zip(prediction.codes, row.tolist()):
-            fields.append(code)
-            fields.append(f"{score:.6f}")
-    return "\t".join(fields)
+    head = (index, prediction.winner, row.item(prediction._best))
+    return template % ((*head, *row.tolist()) if with_scores else head)
 

@@ -40,23 +40,28 @@ import warnings
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, takewhile
+from itertools import accumulate, takewhile
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError, read_utf8, split_records, unify_line_ends
-# extract_ngrams stays importable from here: the traced benchmark wraps it in this module.
+# extract_ngrams and tokenize stay importable from here: the traced benchmark wraps them in
+# this module.
 from .features import (
     WORD_DOMAIN, all_domains, code_points, extract_ngrams, ngram_keys, ngram_windows, pad_word,
-    padded_code_points, tokenize,
+    padded_code_points, tokenize, tokenize_chunk,
 )
 from .registry import LanguageRegistry, parse_registry
 
 # Absolute slack for score range checks: covers the rounding step of the
 # 10-significant-digit quantization at the top of the score range.
 SCORE_RANGE_SLACK = 1e-9
+
+# Sentences of a corpus tokenized in one array pass: bounds the memory a pass takes.
+# Read at call time, so tests can change it.
+_TOKENIZE_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -263,7 +268,9 @@ def train_models(
     models: dict[str, LanguageModel] = {}
     for corpus in corpora:
         # word types in first-occurrence order, the word domain's key order
-        types = Counter(chain.from_iterable(map(tokenize, corpus.sentences)))
+        types: Counter[str] = Counter()
+        for start in range(0, len(corpus.sentences), _TOKENIZE_SLICE):
+            types.update(tokenize_chunk(corpus.sentences[start : start + _TOKENIZE_SLICE])[0])
         weights = np.fromiter(types.values(), np.int64, len(types))
         cp, starts, lengths = padded_code_points(list(types))
         scored: dict[str, Mapping[str, float]] = {}

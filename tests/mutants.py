@@ -43,9 +43,25 @@ class Mutant(NamedTuple):
 
 
 FEATURES, IDENTIFIER, MODELS = "src/uralid/features.py", "src/uralid/identifier.py", "src/uralid/models.py"
-TEST_IDENTIFIER, TEST_MODELS = ("tests/test_identifier.py",), ("tests/test_models.py",)
+TEST_FEATURES, TEST_IDENTIFIER, TEST_MODELS = (
+    ("tests/test_features.py",), ("tests/test_identifier.py",), ("tests/test_models.py",)
+)
 
 MUTANTS = [
+    # tokenizing a chunk in one array pass
+    Mutant("text-bounds-from-unlowered-lengths", FEATURES,
+           "accumulate((len(text) + 1 for text in lowered)", "accumulate((len(text) + 1 for text in texts)",
+           TEST_FEATURES),
+    Mutant("texts-joined-without-a-separator", FEATURES,
+           'cp = code_points(" ".join(lowered))', 'cp = code_points("".join(lowered))', TEST_FEATURES),
+    Mutant("high-code-points-read-as-non-letters", FEATURES,
+           "letter[high] = classes[at]", "letter[high] = False", TEST_FEATURES),
+    Mutant("word-starts-read-one-code-point-early", FEATURES,
+           "np.flatnonzero(letter & ~np.concatenate(([False], letter[:-1])))",
+           "np.flatnonzero(letter[1:] & ~letter[:-1])", TEST_FEATURES),
+    Mutant("tokenizing-slice-drops-its-last-sentence", MODELS,
+           "corpus.sentences[start : start + _TOKENIZE_SLICE]",
+           "corpus.sentences[start : start + _TOKENIZE_SLICE - 1]", TEST_MODELS),
     # n-gram windows, shared by training and lookup, and lookup through sorted key arrays
     Mutant("window-start-off-by-one", FEATURES,
            "counts) + np.arange(counts.sum())", "counts) + np.arange(counts.sum()) + 1",

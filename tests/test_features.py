@@ -2,12 +2,12 @@ import sys
 from itertools import groupby
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracle import oracle_ngrams, oracle_tokenize
 from uralid import features
-from uralid.features import WORD_DOMAIN, all_domains, extract_ngrams, pad_word, tokenize
+from uralid.features import WORD_DOMAIN, all_domains, extract_ngrams, pad_word, tokenize, tokenize_chunk
 
 words = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Lo")),
@@ -88,12 +88,36 @@ def reference_tokenize(text: str) -> list[str]:
 
 
 def test_tokenize_equals_the_groupby_rule_on_every_code_point(monkeypatch):
-    # a fresh table, so that filling it to the limit leaves the module's own as it was
-    table = features._Separators()
-    monkeypatch.setattr(features, "_SEPARATORS", table)
+    # a fresh memo, so that filling it to the limit leaves the module's own as it was
+    memo = features._HighLetters()
+    monkeypatch.setattr(features, "_HIGH_LETTERS", memo)
     text = "".join("a" + chr(cp) + "b " for cp in range(sys.maxunicode + 1))  # surrogates too
     assert tokenize(text) == reference_tokenize(text)
-    assert len(table) == features._TABLE_LIMIT
+    # more code points lie above the table's bound than the memo keeps
+    assert sys.maxunicode + 1 - features._TABLE_BOUND > features._MEMO_LIMIT
+    assert len(memo) == features._MEMO_LIMIT
+    assert min(memo) >= features._TABLE_BOUND
+
+
+# pieces that break a chunked tokenizer: final sigma, İ (which lowers to two code points),
+# lone surrogates, CJK and astral letters above the table's bound, digits and spaces
+PIECES = [
+    "ΟΔΟΣ", "ς", "Σ", "İ", "İİ", "\ud800", "\udfff", "日本", "\U0001d51e", "\U00010428", "a", "Ab", "1", " ", "-",
+]
+chunk_texts = st.lists(st.one_of(st.sampled_from(PIECES), st.text(max_size=4)), max_size=6).map("".join)
+
+
+@given(texts=st.lists(chunk_texts, max_size=8))
+@example(texts=["İİİ", "a"])  # bounds from the unlowered lengths put "a" in the first text
+@example(texts=["ab", "cd"])  # without a separator between texts the two words merge
+@example(texts=["ab", "cd", "", "12", "ef"])  # a word start read one code point early
+@example(texts=["\U0001d51e\U00010428", "日本 ok"])  # letters above the table's bound
+def test_tokenize_chunk_equals_tokenizing_each_text(texts):
+    words, counts = tokenize_chunk(texts)
+    expected = [oracle_tokenize(text) for text in texts]
+    assert words == [word for text_words in expected for word in text_words]
+    assert counts.tolist() == list(map(len, expected))
+    assert counts.dtype.kind == "i"
 
 
 @given(text=st.text(max_size=60))

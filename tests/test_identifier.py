@@ -24,7 +24,7 @@ from oracle import oracle_cjk_ratio, oracle_score_sentence, oracle_score_word, o
 from uralid import identifier
 from uralid.corpus import Corpus
 from uralid.errors import DataError
-from uralid.features import extract_ngrams, tokenize
+from uralid.features import extract_ngrams, tokenize, tokenize_chunk
 from uralid.identifier import (
     CJK_HIGH_PENALTY,
     Scorer,
@@ -567,7 +567,7 @@ def test_predictions_build_scores_and_traces_equal_to_eager_ones():
         scorer = ms.scorer()
         rows, codes = scorer.candidate_rows(candidates)
         tokens = [tokenize(sentence) for sentence in sentences]
-        means, domains = scorer.score_sentences(tokens, rows)
+        means, domains = scorer.score_sentences(*tokenize_chunk(sentences), rows)
         means = apply_cjk_sanity(means, sentences, codes, registry)
         domains = iter(domains)
         for i, prediction in enumerate(predictions):

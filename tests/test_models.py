@@ -234,6 +234,30 @@ def test_training_matches_the_reference_on_unusual_corpora(n_max):
     assert ms.models["fin"].totals == ms.models["swe"].totals == {str(n): 0 for n in range(1, n_max + 1)}
 
 
+def test_training_does_not_depend_on_the_tokenizing_slice(tmp_path, monkeypatch):
+    # the same corpora tokenized a sentence at a time, three at a time and in one slice
+    rng = random.Random(28)
+    reg = make_registry()
+    pool = [random_word(rng, 6) for _ in range(5)] + ["日本", "İİ", "ΟΔΟΣ", "\U00010400\U00010428"]
+    corpora = [
+        Corpus(language=code, sentences=tuple(pooled_sentence(rng, pool) for _ in range(size)))
+        for code, size in zip(reg.codes(), (0, 1, 7, 40))
+    ]
+    params = HeliParams(n_max=4)
+    trained, saved = [], []
+    for size in (1, 3, models._TOKENIZE_SLICE):
+        monkeypatch.setattr(models, "_TOKENIZE_SLICE", size)
+        ms = train_models(corpora, params, reg)
+        save_models(ms, tmp_path / str(size))
+        trained.append(ms)
+        saved.append(directory_bytes(tmp_path / str(size)))
+    assert trained[0] == trained[1] == trained[2]
+    for ms in trained[1:]:
+        for code, model in ms.models.items():
+            assert list(model.domains[WORD_DOMAIN]) == list(trained[0].models[code].domains[WORD_DOMAIN])
+    assert saved[0] == saved[1] == saved[2]
+
+
 def test_replication_invariance_quick():
     reg = make_registry()
     sentences = ("minä olen", "sinä olet", "hän on")
