@@ -40,17 +40,18 @@ have a model.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
+from .errors import DataError
 # extract_ngrams and tokenize stay importable from here: the traced benchmark wraps them in
 # this module.
 from .features import (
     WORD_DOMAIN, code_points, extract_ngrams, ngram_windows, pad_word, padded_code_points, tokenize,
     tokenize_chunk,
 )
-from .models import ModelSet, run_starts, table_arrays
+from .models import ModelSet, _table_fault, key_dtype, run_starts
 from .registry import DEFAULT_CJK_BLOCKS, LanguageRegistry
 
 # Added to every non-CJK candidate when a text trips the CJK check. Any
@@ -193,13 +194,15 @@ def window_columns(keys, cp, starts, lengths, n) -> tuple[np.ndarray, np.ndarray
 class Scorer:
     """Array form of a ModelSet, and the word and sentence scoring over it.
 
-    Per n-gram domain, the vocabulary is one sorted array of ``<U{n}`` keys,
-    ``_keys[domain]``, and a feature's column is its position there; the word
-    domain's vocabulary is a dict from padded word to column, ``_vocabs``. The
-    stored scores are kept in compressed sparse column form: column ``j``
-    owns the entries of ``_rows[domain]`` (registry rows, ascending) and
-    ``_scores[domain]`` from ``_indptr[domain][j]`` up to ``[j + 1]``, so
-    memory grows with the stored features, not languages times vocabulary.
+    Each domain's tables are merged by one stable sort of their keys, and a
+    feature's column is its position among the distinct keys. Per n-gram domain,
+    the vocabulary is that sorted array of ``<U{n}`` keys, ``_keys[domain]``; the
+    word domain's is a dict from padded word to column, ``_vocabs``, which looks
+    words up faster than a sorted object array does. The stored scores are kept
+    in compressed sparse column form: column ``j`` owns the entries of
+    ``_rows[domain]`` (registry rows, ascending) and ``_scores[domain]`` from
+    ``_indptr[domain][j]`` up to ``[j + 1]``, so memory grows with the stored
+    features, not languages times vocabulary.
     Each domain step finds its batch's n-gram columns with one gather of
     windows over the words' code points and one ``np.searchsorted``, and
     tables only the columns it uses, over the candidates alone. Word scores
@@ -224,23 +227,21 @@ class Scorer:
         models = sorted((self.registry.index(code), model) for code, model in model_set.models.items())
         for domain in self.params.domains():
             tables = [model.domains[domain] for _, model in models]
+            dtype = key_dtype(domain)
+            for table in tables:
+                if table.features.dtype != dtype:
+                    raise DataError(_table_fault(table, domain))
+            # the leading empty arrays give a model set without models its typed empty domain
+            keys = np.concatenate([np.empty(0, dtype)] + [t.features for t in tables])
+            values = np.concatenate([np.empty(0)] + [t.scores for t in tables])
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = run_starts(keys)
             if domain == WORD_DOMAIN:
-                vocab = self._vocabs[domain] = {}
-                cols = np.array([vocab.setdefault(f, len(vocab)) for t in tables for f in t], dtype=np.int64)
-                values = np.fromiter(chain.from_iterable(t.values() for t in tables), np.float64)
-                order = np.argsort(cols, kind="stable")
-                self._indptr[domain] = np.concatenate(([0], np.bincount(cols, minlength=len(vocab)).cumsum()))
+                self._vocabs[domain] = dict(zip(keys[first].tolist(), range(first.shape[0])))
             else:
-                n = int(domain)
-                arrays = [table_arrays(t, n) for t in tables]
-                # the leading empty arrays give a model set without models its typed empty domain
-                keys = np.concatenate([np.empty(0, f"<U{n}")] + [k for k, _ in arrays])
-                values = np.concatenate([np.empty(0)] + [v for _, v in arrays])
-                order = np.argsort(keys, kind="stable")
-                keys = keys[order]
-                first = run_starts(keys)
                 self._keys[domain] = keys[first]
-                self._indptr[domain] = np.append(first, keys.shape[0])
+            self._indptr[domain] = np.append(first, keys.shape[0])
             rows = np.repeat(np.array([i for i, _ in models], dtype=np.int32), [len(t) for t in tables])
             self._rows[domain] = rows[order]
             self._scores[domain] = values[order]

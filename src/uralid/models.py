@@ -9,23 +9,24 @@ digits at training time, which is also the on-disk precision, so the TSV
 round-trip is bit-exact.
 
 Training counts types first: each corpus's tokens become one count per word
-type, in first-occurrence order. For each n, every n-gram window of every
-type is read at once from the types' padded code points (``ngram_windows``,
-the rule identify looks n-grams up by), the windows are sorted, and each
-distinct one sums its types' counts as exact integers. The counts equal a
-token-by-token pass's, while the work grows with the types, not the tokens.
-Each distinct count is scored once. An n-gram domain thus comes out as an
-``NgramTable``: its features one array of fixed-width ``<U{n}`` keys, sorted,
-and its scores one float array. The word domain, whose features have no fixed
-width, stays a dict in first-occurrence order.
+type. For each n, every n-gram window of every type is read at once from the
+types' padded code points (``ngram_windows``, the rule identify looks n-grams
+up by); the word domain's windows are the padded types themselves. Each
+domain's windows are sorted, and each distinct one sums its types' counts as
+exact integers. The counts equal a token-by-token pass's, while the work grows
+with the types, not the tokens. Each distinct count is scored once. Every
+domain thus comes out as a ``FeatureTable``: its features one sorted key
+array, and its scores one float array. An n-gram domain's keys are fixed-width
+``<U{n}``; the word domain's, which have no fixed width, are ``str`` objects.
 
 Loading gives the same layout and keeps no per-feature Python object for an
 n-gram domain: a model file's features are gathered from its code points.
 Every n-gram feature is exactly n code points, none of them U+0000 (the width
 rule, which ``save_models`` and ``load_models`` both enforce), and a file is
-sorted by feature, so its keys come out sorted. ``save_models`` writes an
-``NgramTable`` straight from its arrays, with its checks as masks over the
-keys' code points, and each distinct score rendered once.
+sorted by feature, so its keys come out sorted. ``LanguageModel`` turns any
+other mapping it is given into a ``FeatureTable`` sorted by key.
+``save_models`` writes every table straight from its arrays, with its checks
+as masks over the keys' code points, and each distinct score rendered once.
 
 Model directory layout::
 
@@ -40,7 +41,7 @@ import warnings
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, takewhile
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,11 @@ class HeliParams:
         return all_domains(self.n_max, self.use_words)
 
 
-class NgramTable(Mapping):
-    """Read-only feature-to-score mapping of one n-gram domain, held as two arrays:
-    ``features``, the sorted distinct features as ``<U{n}`` keys, and ``scores``,
-    float64 in the same order. It iterates in key order, the order of its model
+class FeatureTable(Mapping):
+    """Read-only feature-to-score mapping of one domain, held as two arrays:
+    ``features``, the sorted distinct features, and ``scores``, float64 in the
+    same order. An n-gram domain's features are ``<U{n}`` keys and the word
+    domain's ``str`` objects. It iterates in key order, the order of its model
     file, and equals any mapping with the same items."""
 
     __slots__ = ("features", "scores")
@@ -121,7 +123,7 @@ class NgramTable(Mapping):
         return iter(self.features.tolist())
 
     def __getitem__(self, feature):
-        if isinstance(feature, str) and len(feature) * 4 == self.features.dtype.itemsize:
+        if isinstance(feature, str):
             at = int(np.searchsorted(self.features, feature))
             if at < len(self) and self.features[at] == feature:
                 return self.scores.item(at)
@@ -134,7 +136,7 @@ class NgramTable(Mapping):
         return _Values(self)
 
     def __repr__(self) -> str:
-        return f"NgramTable({dict(self.items())!r})"
+        return f"FeatureTable({dict(self.items())!r})"
 
 
 class _Items(ItemsView):
@@ -147,25 +149,36 @@ class _Values(ValuesView):
         return iter(self._mapping.scores.tolist())
 
 
-def table_arrays(table: Mapping[str, float], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """An n-gram domain's features as ``<U{n}`` keys and its scores as float64, in
-    table order; a dict whose features break the width rule is a DataError."""
-    if isinstance(table, NgramTable):
-        return table.features, table.scores
-    bad = _width_rule_breaker(table, "".join(table), n)
-    if bad is not None:
-        raise DataError(_width_fault(bad, n))
-    return np.array(list(table), dtype=f"<U{n}"), np.fromiter(table.values(), np.float64, len(table))
+def key_dtype(domain: str) -> np.dtype:
+    """The dtype of a domain's feature keys: ``<U{n}`` for an n-gram domain, ``str``
+    objects for the word domain."""
+    return np.dtype(object if domain == WORD_DOMAIN else f"<U{domain}")
+
+
+def _feature_table(table: Mapping[str, float], domain: str) -> FeatureTable:
+    """``table`` as a FeatureTable sorted by key: ``<U{n}`` keys for an n-gram mapping
+    whose every feature is n code points other than U+0000, else ``str`` objects."""
+    if isinstance(table, FeatureTable):
+        return table
+    features = sorted(table)
+    scores = np.fromiter(map(table.__getitem__, features), np.float64, len(features))
+    fixed = domain.isdecimal() and all(len(f) == int(domain) and "\0" not in f for f in features)
+    return FeatureTable(np.array(features, dtype=key_dtype(domain) if fixed else object), scores)
 
 
 @dataclass(frozen=True)
 class LanguageModel:
-    """Per-domain feature score maps for one language: from training and from loading,
-    a dict for the word domain and an ``NgramTable`` for each n-gram one."""
+    """Per-domain feature score maps for one language, each a ``FeatureTable``. Any
+    other mapping given is converted into a new ``domains`` dict; the caller's is
+    left as it was."""
 
     language: str
-    domains: dict[str, Mapping[str, float]]
+    domains: dict[str, FeatureTable]
     totals: dict[str, int]
+
+    def __post_init__(self):
+        tables = {domain: _feature_table(table, domain) for domain, table in self.domains.items()}
+        object.__setattr__(self, "domains", tables)
 
 
 @dataclass(frozen=True)
@@ -217,14 +230,6 @@ def _score_of(counts, total: int, cutoff_c: float) -> dict[int, float]:
     return score_of
 
 
-def _score_counts(counts: dict[str, int], cutoff_c: float) -> tuple[dict[str, float], int]:
-    """Scores of the features whose relative frequency reaches the cutoff, in
-    ``counts`` order, and the total; each distinct count is scored once."""
-    total = sum(counts.values())
-    score_of = _score_of(set(counts.values()), total, cutoff_c)
-    return {f: score_of[c] for f, c in counts.items() if c in score_of}, total
-
-
 def run_starts(ordered: np.ndarray) -> np.ndarray:
     """Where each run of equal values in the sorted ``ordered`` starts."""
     new = np.ones(ordered.shape[0], dtype=bool)
@@ -232,7 +237,7 @@ def run_starts(ordered: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _score_windows(windows: np.ndarray, weights: np.ndarray, cutoff_c: float) -> tuple[NgramTable, int]:
+def _score_windows(windows: np.ndarray, weights: np.ndarray, cutoff_c: float) -> tuple[FeatureTable, int]:
     """The table of the distinct ``windows`` whose relative frequency reaches the cutoff,
     each counted as the sum of its occurrences' int64 ``weights``, and the total."""
     order = windows.argsort()
@@ -244,7 +249,7 @@ def _score_windows(windows: np.ndarray, weights: np.ndarray, cutoff_c: float) ->
     score_of = _score_of(distinct.tolist(), total, cutoff_c)
     scores = np.array([score_of.get(count, np.nan) for count in distinct.tolist()])[at]
     kept = ~np.isnan(scores)
-    return NgramTable(windows[first[kept]], scores[kept]), total
+    return FeatureTable(windows[first[kept]], scores[kept]), total
 
 
 def train_models(
@@ -267,13 +272,12 @@ def train_models(
 
     models: dict[str, LanguageModel] = {}
     for corpus in corpora:
-        # word types in first-occurrence order, the word domain's key order
         types: Counter[str] = Counter()
         for start in range(0, len(corpus.sentences), _TOKENIZE_SLICE):
             types.update(tokenize_chunk(corpus.sentences[start : start + _TOKENIZE_SLICE])[0])
         weights = np.fromiter(types.values(), np.int64, len(types))
         cp, starts, lengths = padded_code_points(list(types))
-        scored: dict[str, Mapping[str, float]] = {}
+        scored: dict[str, FeatureTable] = {}
         totals: dict[str, int] = {}
         for n in range(1, params.n_max + 1):
             windows, counts = ngram_windows(cp, starts, lengths, n)
@@ -281,9 +285,8 @@ def train_models(
                 windows, np.repeat(weights, counts), params.cutoff_c
             )
         if params.use_words:
-            scored[WORD_DOMAIN], totals[WORD_DOMAIN] = _score_counts(
-                {pad_word(word): count for word, count in types.items()}, params.cutoff_c
-            )
+            padded = np.array(list(map(pad_word, types)), dtype=object)
+            scored[WORD_DOMAIN], totals[WORD_DOMAIN] = _score_windows(padded, weights, params.cutoff_c)
         models[corpus.language] = LanguageModel(corpus.language, scored, totals)
     return ModelSet(params=params, models=models, registry=registry)
 
@@ -318,14 +321,6 @@ def _outside_range(scores: np.ndarray, max_score: float) -> np.ndarray:
     return ~((scores >= 0.0) & (scores <= max_score + SCORE_RANGE_SLACK))
 
 
-def _width_rule_breaker(features, joined: str, n: int) -> str | None:
-    """The first of the features, whose concatenation is ``joined``, that is not n
-    code points other than U+0000, or None."""
-    if "\0" in joined or set(map(len, features)) - {n}:
-        return next(f for f in features if len(f) != n or "\0" in f)
-    return None
-
-
 def _width_fault(feature: str, n: int) -> str:
     """The message for an n-gram feature that breaks the width rule."""
     return f"feature {feature!r} is not a {n}-gram: an n-gram is n code points, none of them U+0000"
@@ -339,34 +334,34 @@ def _utf8_fault(feature: str) -> str:
     return f"feature {feature!r} cannot be written as UTF-8"
 
 
-def _dict_fault(table: Mapping[str, float], domain: str) -> str | None:
-    """Why a dict table's features cannot be saved as they are, or None."""
-    joined = "".join(table)  # one scan of every feature, not one per feature
-    if any(c in joined for c in "\t\r\n"):
-        return _line_break_fault(next(f for f in table if any(c in f for c in "\t\r\n")))
-    try:
-        joined.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        return _utf8_fault(next(f for f, end in zip(table, accumulate(map(len, table))) if end > exc.start))
-    bad = None if domain == WORD_DOMAIN else _width_rule_breaker(table, joined, int(domain))
-    return None if bad is None else _width_fault(bad, int(domain))
+def _table_fault(table: FeatureTable, domain: str) -> str | None:
+    """Why a table cannot be written as the rows of its domain's file, or None. The
+    rules, in order: a tab or line break, a lone surrogate, the width rule, the key
+    dtype, strictly ascending keys. The first three are masks over the features'
+    code points, read through the fixed-width view of ``<U{n}`` keys and joined
+    from any others."""
+    keys, want, n = table.features, key_dtype(domain), None if domain == WORD_DOMAIN else int(domain)
+    if n is not None and keys.dtype == want:  # a shorter key ends in U+0000s
+        cp, lengths = keys.view("<u4"), np.full(keys.shape[0], n)
+    else:
+        features = keys.tolist()
+        cp, lengths = code_points("".join(features)), np.fromiter(map(len, features), np.int64, len(features))
+    ends = lengths.cumsum()
 
+    def holding(mask):
+        """The features that hold a code point ``mask`` marks, ascending."""
+        return np.searchsorted(ends, np.flatnonzero(mask), side="right")
 
-def _array_fault(table: NgramTable, n: int) -> str | None:
-    """Why an ``NgramTable``'s keys cannot be written as the rows of an n-gram file,
-    or None; each rule is a mask over their code points or over the keys."""
-    keys = table.features
-    if keys.dtype != np.dtype(f"<U{n}"):
-        return f"features are {keys.dtype} keys, not <U{n}"
-    cp = keys.view("<u4")  # row i's code points are cp[i * n : (i + 1) * n]
-    for bad, describe in (
-        ((cp == 9) | (cp == 10) | (cp == 13), _line_break_fault),
-        ((cp >= 0xD800) & (cp <= 0xDFFF), _utf8_fault),  # lone surrogates
-        (cp == 0, lambda feature: _width_fault(feature, n)),  # a shorter key ends in U+0000s
-    ):
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            return describe(str(keys[hits[0] // n]))
+    rules = [(holding((cp == 9) | (cp == 10) | (cp == 13)), _line_break_fault),
+             (holding((cp >= 0xD800) & (cp <= 0xDFFF)), _utf8_fault)]  # lone surrogates
+    if n is not None:
+        wrong = np.union1d(holding(cp == 0), np.flatnonzero(lengths != n))
+        rules.append((wrong, lambda feature: _width_fault(feature, n)))
+    for rows, describe in rules:
+        if rows.size:
+            return describe(str(keys[rows[0]]))
+    if keys.dtype != want:
+        return f"features are {keys.dtype} keys, not {want}"
     repeats = np.flatnonzero(~(keys[1:] > keys[:-1]))
     return f"features out of order at {str(keys[repeats[0] + 1])!r}" if repeats.size else None
 
@@ -376,9 +371,8 @@ def _check_model(
 ) -> dict[str, dict[float, str]]:
     """Raise a DataError, naming the code and domain, for what ``load_models``
     would reject or read back unequal; else return each domain's score texts as
-    ``save_models`` writes them, one per distinct score, ascending. An
-    ``NgramTable`` is written in its own order, so its keys must also be strictly
-    ascending."""
+    ``save_models`` writes them, one per distinct score, ascending. A table is
+    written in its own order, so its keys must also be strictly ascending."""
     if model.language != code:
         raise DataError(f"model {code}: language is {model.language!r}")
     domains, max_score = params.domains(), params.max_score()
@@ -391,22 +385,19 @@ def _check_model(
         total, table = model.totals[domain], model.domains[domain]
         if type(total) is not int or total < 0:
             raise DataError(f"{where}: total {total!r} is not a non-negative int")
-        if isinstance(table, NgramTable):
-            fault, scores = _array_fault(table, int(domain)), table.scores
-        else:
-            fault, scores = _dict_fault(table, domain), np.fromiter(table.values(), np.float64, len(table))
+        fault, scores = _table_fault(table, domain), table.scores
         if fault is not None:
             raise DataError(f"{where}: {fault}")
         outside = _outside_range(scores, max_score)
         if outside.any():
             at = int(outside.argmax())
-            score, feature = scores.item(at), list(table)[at]
+            score, feature = scores.item(at), str(table.features[at])
             raise DataError(f"{where}: score {score!r} of {feature!r} outside [0, {max_score:.6f}]")
         ordered = np.sort(scores)
         texts[domain] = {score: _score_text(score) for score in ordered[run_starts(ordered)].tolist()}
         for score, text in texts[domain].items():
             if _parse_score(text) != score:
-                feature = list(table)[int(np.argmax(scores == score))]
+                feature = str(table.features[int(np.argmax(scores == score))])
                 raise DataError(f"{where}: score {score!r} of {feature!r} would load back as {text}")
     return texts
 
@@ -434,12 +425,10 @@ def save_models(model_set: ModelSet, directory) -> None:
         model, rel_path = model_set.models[code], _model_path(code, domain)
         manifest.append(f"model\t{code}\t{domain}\t{rel_path}\t{model.totals[domain]}")
         table, text_of = model.domains[domain], texts[code][domain]
-        if isinstance(table, NgramTable):  # sorted already: each row is a key and its score's ending
-            at = np.searchsorted(np.fromiter(text_of, np.float64, len(text_of)), table.scores)
-            ends = np.array([f"\t{text}\n" for text in text_of.values()], dtype=str)
-            rows = np.char.add(table.features, ends[at]).tolist()
-        else:
-            rows = (f"{feature}\t{text_of[table[feature]]}\n" for feature in sorted(table))
+        # sorted already: each row is a key and its score's ending, added as str objects
+        at = np.searchsorted(np.fromiter(text_of, np.float64, len(text_of)), table.scores)
+        ends = np.array([f"\t{text}\n" for text in text_of.values()], dtype=object)
+        rows = (table.features.astype(object) + ends[at]).tolist()
         (directory / rel_path).write_text("".join(rows), encoding="utf-8")
     (directory / "manifest.tsv").write_text(
         "".join(line + "\n" for line in manifest), encoding="utf-8"
@@ -508,8 +497,8 @@ def _parse_manifest(path: Path):
 
 
 def _load_model_file(path: Path, domain: str, max_score: float, parsed: dict[str, float]):
-    """The file's table: an ``NgramTable`` for an n-gram domain, a dict for the word
-    domain. ``parsed`` holds each score text read so far, parsed once.
+    """The file's ``FeatureTable``: ``<U{n}`` keys for an n-gram domain, ``str`` objects
+    for the word domain. ``parsed`` holds each score text read so far, parsed once.
 
     Each rule is one mask over the rows that passed the rules before it: one tab
     per row, the width rule, strictly ascending features, a score text
@@ -543,13 +532,12 @@ def _load_model_file(path: Path, domain: str, max_score: float, parsed: dict[str
     # each of those rows is two cells, its feature and its score text
     cells = text.replace("\n", "\t").split("\t", 2 * rows)
     if domain == WORD_DOMAIN:
-        features = cells[0 : 2 * rows : 2]
-        column = np.array(features, dtype=object)
+        column = np.array(cells[0 : 2 * rows : 2], dtype=object)
     else:
         n = int(domain)
         within = np.searchsorted(nuls, tabs) > np.searchsorted(nuls, starts)
         rule((tabs - starts != n) | within, lambda at: _width_fault(cells[2 * at], n))
-        features = column = ngram_keys(cp, starts[:rows], n)
+        column = ngram_keys(cp, starts[:rows], n)
     rule(np.concatenate(([False], ~(column[1:] > column[:-1]))),
          lambda at: f"features out of order at {cells[2 * at]!r}")
     texts = cells[1 : 2 * rows : 2]
@@ -566,9 +554,7 @@ def _load_model_file(path: Path, domain: str, max_score: float, parsed: dict[str
     rule(_outside_range(scores, max_score), lambda at: f"score {scores.item(at)} outside [0, {max_score:.6f}]")
     if message is not None:
         raise DataError(f"{path}:{rows + 1}: {message}")
-    if domain == WORD_DOMAIN:
-        return dict(zip(features, scores.tolist()))
-    return NgramTable(features, scores)
+    return FeatureTable(column, scores)
 
 
 def load_models(directory) -> ModelSet:
@@ -576,8 +562,8 @@ def load_models(directory) -> ModelSet:
     write, a blank line, an n-gram that breaks the width rule or a model row out
     of save order included, is a DataError naming its file and line. The
     manifest is checked in full before any model file is read, so a model row
-    out of order is reported before a missing model file. Each n-gram domain
-    loads as an ``NgramTable`` over two arrays, the word domain as a dict."""
+    out of order is reported before a missing model file. Each domain loads as a
+    ``FeatureTable`` over two arrays."""
     directory = Path(directory)
     manifest_path = directory / "manifest.tsv"
     if not manifest_path.is_file():

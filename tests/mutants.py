@@ -68,22 +68,29 @@ MUTANTS = [
            TEST_IDENTIFIER + TEST_MODELS),
     Mutant("searchsorted-hit-without-equality-check", IDENTIFIER,
            "return np.where(keys[at] == windows, at, -1), counts", "return at, counts", TEST_IDENTIFIER),
-    # training: each window counts its word type's count
+    # training: each window counts its word type's count, and every domain comes out sorted
     Mutant("type-counts-dropped-from-the-windows", MODELS,
            "windows, np.repeat(weights, counts), params.cutoff_c",
            "windows, np.repeat(np.ones_like(weights), counts), params.cutoff_c", TEST_MODELS),
+    Mutant("word-domain-trained-unsorted", MODELS,
+           "order = windows.argsort()",
+           "order = windows.argsort() if windows.dtype != object else np.arange(windows.shape[0])",
+           TEST_MODELS),
     # model files: strictly ascending features, the width rule at load and at save
     Mutant("order-check-allows-repeats", MODELS,
            "~(column[1:] > column[:-1])", "~(column[1:] >= column[:-1])", TEST_MODELS),
     Mutant("load-drops-width-check", MODELS,
            "rule((tabs - starts != n) | within,", "rule(within,", TEST_MODELS),
     Mutant("save-drops-width-check", MODELS,
-           "(cp == 0, lambda feature: _width_fault(feature, n)),", "", TEST_MODELS),
+           "np.union1d(holding(cp == 0), np.flatnonzero(lengths != n))", "np.flatnonzero(lengths != n)",
+           TEST_MODELS),
     Mutant("save-allows-repeated-keys", MODELS,
            "~(keys[1:] > keys[:-1])", "~(keys[1:] >= keys[:-1])", TEST_MODELS),
-    Mutant("save-drops-width-check-on-dict-tables", MODELS,
-           "bad = None if domain == WORD_DOMAIN else _width_rule_breaker(table, joined, int(domain))",
-           "bad = None", TEST_MODELS),
+    Mutant("save-drops-width-check-on-object-keys", MODELS,
+           "np.union1d(holding(cp == 0), np.flatnonzero(lengths != n))", "holding(cp == 0)", TEST_MODELS),
+    # a mapping given to LanguageModel gets <U{n} keys only when they hold each feature whole
+    Mutant("conversion-drops-the-nul-clause", MODELS,
+           'len(f) == int(domain) and "\\0" not in f', "len(f) == int(domain)", TEST_IDENTIFIER),
     # the word cache: one table per candidate set, dropped past the limit
     Mutant("cache-reset-skipped", IDENTIFIER,
            "_CACHE_LIMIT:\n            self._cache = {}", "_CACHE_LIMIT:\n            pass", TEST_IDENTIFIER),

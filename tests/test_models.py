@@ -129,9 +129,8 @@ def test_empty_corpus_trains_empty_model():
 
 def reference_train(corpora, params, registry):
     """Training as a per-token loop: every n-gram of every token counted one at a
-    time, every feature scored on its own, each domain in first-occurrence order.
-    ``train_models`` must give back the same scores and totals, with the word
-    domain in that order and each n-gram domain sorted by key."""
+    time and every feature scored on its own, into plain dicts. ``train_models``
+    must give back the same scores and totals, with each domain sorted by key."""
     models = {}
     for corpus in corpora:
         counters = {domain: Counter() for domain in params.domains()}
@@ -154,8 +153,9 @@ def reference_train(corpora, params, registry):
 
 
 def assert_trained_as_reference(ms, reference):
-    """The same models, totals and scores, with the word domain in first-occurrence
-    order and each n-gram domain an ``NgramTable`` sorted by key, its file's order."""
+    """The same models, totals and scores, with each domain a ``FeatureTable`` sorted by
+    key, its file's order: ``<U{n}`` keys for an n-gram domain, ``str`` objects for
+    the word domain."""
     assert list(ms.models) == list(reference.models)
     for code, model in ms.models.items():
         want = reference.models[code]
@@ -163,11 +163,9 @@ def assert_trained_as_reference(ms, reference):
         assert all(type(total) is int for total in model.totals.values())
         assert list(model.domains) == list(want.domains)
         for domain, table in model.domains.items():
-            if domain == WORD_DOMAIN:
-                assert list(table.items()) == list(want.domains[domain].items())
-            else:
-                assert isinstance(table, models.NgramTable) and table.features.dtype == f"<U{domain}"
-                assert list(table.items()) == sorted(want.domains[domain].items())
+            dtype = object if domain == WORD_DOMAIN else f"<U{domain}"
+            assert isinstance(table, models.FeatureTable) and table.features.dtype == dtype
+            assert list(table.items()) == sorted(want.domains[domain].items())
 
 
 NO_POOL_SENTENCES = ["", "  ", "123 456", "... !", "日本語 東京", "中文漢字 日本語 東京"]
@@ -336,7 +334,7 @@ def test_load_models_inverts_save_models(ms):
         assert loaded == ms
         save_models(loaded, second)
         assert directory_bytes(second) == directory_bytes(first)
-        # n-gram tables are written from their arrays, dict tables row by row: the same bytes
+        # plain dicts given to LanguageModel become the same tables and write the same bytes
         dicts = {code: LanguageModel(code, {d: dict(t) for d, t in m.domains.items()}, m.totals)
                  for code, m in ms.models.items()}
         save_models(ModelSet(ms.params, dicts, ms.registry), Path(scratch, "dicts"))
@@ -495,7 +493,7 @@ def test_save_models_refuses_what_would_not_load_back_equal(tmp_path, change, me
 
 def _ngram_table(*features, scores=None, n=1):
     scores = [1.0] * len(features) if scores is None else scores
-    return models.NgramTable(np.array(features, dtype=f"<U{n}"), np.array(scores, dtype=np.float64))
+    return models.FeatureTable(np.array(features, dtype=f"<U{n}"), np.array(scores, dtype=np.float64))
 
 
 @pytest.mark.parametrize(
@@ -685,6 +683,41 @@ def test_model_set_rejects_unregistered_models():
         ModelSet(params=HeliParams(n_max=1), models={"xxz": model}, registry=reg)
 
 
+def test_language_model_turns_mappings_into_feature_tables_sorted_by_key():
+    given = {"1": {"b": 0.5, "a": 0.25}, "2": {"ba": 1.0, "ab": 2.0}, "word": {" ba ": 0.5, " ab ": 1.5}}
+    before = {domain: list(table.items()) for domain, table in given.items()}
+    model = LanguageModel("fkv", given, {domain: 2 for domain in given})
+    # the caller's dicts are left as they were, in their own order
+    assert model.domains is not given
+    assert {domain: list(table.items()) for domain, table in given.items()} == before
+    assert all(type(table) is dict for table in given.values())
+    for domain, dtype in (("1", "<U1"), ("2", "<U2"), ("word", object)):
+        table = model.domains[domain]
+        assert isinstance(table, models.FeatureTable) and table.features.dtype == dtype
+        assert list(table.items()) == sorted(given[domain].items())
+    assert LanguageModel("fkv", model.domains, model.totals).domains["2"] is model.domains["2"]
+    # features that are not n code points other than U+0000 keep str-object keys, held whole
+    for odd in ("abc", "a", "a\0"):
+        table = LanguageModel("fkv", {"2": {"ba": 1.0, odd: 2.0}}, {"2": 2}).domains["2"]
+        assert table.features.dtype == object and list(table.items()) == sorted([("ba", 1.0), (odd, 2.0)])
+
+
+@pytest.mark.parametrize(
+    "domain, features", [("2", ["ab", "ba", "bc"]), ("word", [" ab ", " b ", " abc "])], ids=["<U2", "object"]
+)
+def test_feature_table_lookups_take_only_the_exact_key(domain, features):
+    table = LanguageModel("fkv", {domain: {f: 0.5 * i for i, f in enumerate(features)}}, {domain: 3})
+    table = table.domains[domain]
+    assert table.features.dtype == (object if domain == WORD_DOMAIN else "<U2")
+    for i, feature in enumerate(features):
+        assert table[feature] == 0.5 * i and feature in table
+        # absent, one code point longer or shorter, ending in U+0000
+        for query in ("zz", feature + "a", feature[:-1], feature + "\0", feature[:-1] + "\0"):
+            assert query not in table and table.get(query) is None
+            with pytest.raises(KeyError):
+                table[query]
+
+
 def test_loaded_ngram_tables_equal_the_trained_dicts_both_ways(tmp_path):
     # letters past U+00FF, one whose UTF-32 ends in a zero byte (U+0100), and astral ones
     corpora = [
@@ -701,12 +734,11 @@ def test_loaded_ngram_tables_equal_the_trained_dicts_both_ways(tmp_path):
         for domain, trained_table in model.domains.items():
             table, want = loaded.models[code].domains[domain], dict(trained_table)
             assert table == want and want == table
-            if domain == WORD_DOMAIN:
-                assert type(table) is dict
-                continue
             tables += 1
-            assert isinstance(table, models.NgramTable) and table.features.dtype == f"<U{domain}"
+            dtype = object if domain == WORD_DOMAIN else f"<U{domain}"
+            assert isinstance(table, models.FeatureTable) and table.features.dtype == dtype
             # training gives the loader's layout
+            assert trained_table.features.dtype == dtype
             assert np.array_equal(table.features, trained_table.features)
             assert np.array_equal(table.scores, trained_table.scores)
             # the file's order: sorted by feature
@@ -714,13 +746,14 @@ def test_loaded_ngram_tables_equal_the_trained_dicts_both_ways(tmp_path):
             assert list(table.items()) == sorted(want.items())
             assert list(table.values()) == [want[f] for f in sorted(want)]
             assert len(table) == len(want) and all(f in table for f in want)
-            for missing in ["zz"[: int(domain)], "a" * (int(domain) + 1), "", 7, ("a",)]:
+            n = 3 if domain == WORD_DOMAIN else int(domain)
+            for missing in ["zz"[:n], "a" * (n + 1), "", 7, ("a",)]:
                 assert missing not in table and table.get(missing) is None
             with pytest.raises(KeyError):
-                table["q" * int(domain)]
+                table["q" * n]
             with pytest.raises(ValueError):
                 table.scores[:1] = 0.0  # read-only
-    assert tables == 3 * 4
+    assert tables == 3 * 5
 
 
 @pytest.mark.parametrize(
