@@ -8,12 +8,22 @@ A language with no gold sentences scores recall 1; its precision is 1 when
 nothing was predicted as it and 0 as soon as a single sentence was. All
 metrics are computed in exact rational arithmetic and converted to float
 at the boundary.
+
+A label file holds one label a line, either a bare code or a
+``sentence<TAB>code`` row; lines end at ``\n``, ``\r`` or ``\r\n``. A
+line's code is its text after the last tab, stripped of whitespace. Blank
+and whitespace-only lines are skipped; any other line whose code is not
+registered, empty included, is a DataError naming the first such line,
+``path:lineno: unregistered language code 'xxz'``. ``load_labels`` strips
+and checks each distinct code field once, and ``confusion`` counts the
+matrix with one ``np.bincount`` over the pairs' row indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +60,13 @@ def confusion(golds, preds, registry: LanguageRegistry) -> ConfusionMatrix:
         raise DataError(
             f"gold/pred length mismatch: {len(golds)} vs {len(preds)}"
         )
+    # Distinct codes in pair order, gold before pred, so the first bad pair's code is named.
+    rows = {code: registry.index(code) for code in dict.fromkeys(chain.from_iterable(zip(golds, preds)))}
+    gold = np.fromiter(map(rows.__getitem__, golds), np.int64, len(golds))
+    pred = np.fromiter(map(rows.__getitem__, preds), np.int64, len(preds))
     n = len(registry)
-    counts = np.zeros((n, n), dtype=np.int64)
-    for gold, pred in zip(golds, preds):
-        counts[registry.index(gold), registry.index(pred)] += 1
-    return ConfusionMatrix(registry=registry, counts=counts)
+    counts = np.bincount(gold * n + pred, minlength=n * n).astype(np.int64, copy=False)
+    return ConfusionMatrix(registry=registry, counts=counts.reshape(n, n))
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -154,12 +166,13 @@ def format_track_scores(scores: TrackScores) -> str:
 def load_labels(path, registry: LanguageRegistry) -> list[str]:
     """Read a label file: either ``sentence<TAB>code`` rows or bare codes."""
     path = Path(path)
-    labels: list[str] = []
-    for lineno, line in enumerate(split_records(read_utf8(path)), start=1):
-        if not line.strip():
-            continue
-        code = line.rsplit("\t", 1)[-1].strip()
-        if code not in registry:
-            raise DataError(f"{path}:{lineno}: unregistered language code {code!r}")
-        labels.append(code)
-    return labels
+    lines = split_records(read_utf8(path))
+    fields = [line.rpartition("\t")[2] for line in lines]
+    codes = {field: field.strip() for field in dict.fromkeys(fields)}
+    bad = {field for field, code in codes.items() if code not in registry}
+    if bad:
+        for at in (i for i, field in enumerate(fields) if field in bad):
+            if lines[at].strip():
+                raise DataError(f"{path}:{at + 1}: unregistered language code {codes[fields[at]]!r}")
+        fields = [field for field in fields if field not in bad]
+    return list(map(codes.__getitem__, fields))

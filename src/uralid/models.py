@@ -129,6 +129,18 @@ class FeatureTable(Mapping):
                 return self.scores.item(at)
         raise KeyError(feature)
 
+    def __eq__(self, other):
+        """Equal arrays make equal tables without building a dict; any other case,
+        repeated or unsorted hand-built keys and NaN scores among them, takes the
+        mapping rule."""
+        if (
+            isinstance(other, FeatureTable)
+            and np.array_equal(self.features, other.features)
+            and np.array_equal(self.scores, other.scores)
+        ):
+            return True
+        return Mapping.__eq__(self, other)
+
     def items(self):
         return _Items(self)
 

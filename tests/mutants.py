@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 
 FEATURES, IDENTIFIER, MODELS = "src/uralid/features.py", "src/uralid/identifier.py", "src/uralid/models.py"
+EVALUATION, TEST_EVALUATION = "src/uralid/evaluation.py", ("tests/test_evaluation.py",)
 TEST_FEATURES, TEST_IDENTIFIER, TEST_MODELS = (
     ("tests/test_features.py",), ("tests/test_identifier.py",), ("tests/test_models.py",)
 )
@@ -124,6 +125,21 @@ MUTANTS = [
     Mutant("backoff-from-unigrams-up", IDENTIFIER,
            "self._backoff = self.params.domains()[::-1]", "self._backoff = self.params.domains()",
            TEST_IDENTIFIER),
+    # label files and the confusion matrix, read and counted in array passes
+    Mutant("blank-line-skip-for-every-empty-code", EVALUATION,
+           "if lines[at].strip():", "if codes[fields[at]]:", TEST_EVALUATION),
+    Mutant("last-bad-line-reported", EVALUATION,
+           "for at in (i for i, field in enumerate(fields) if field in bad):",
+           "for at in reversed([i for i, field in enumerate(fields) if field in bad]):", TEST_EVALUATION),
+    Mutant("distinct-field-strip-dropped", EVALUATION,
+           "codes = {field: field.strip() for field", "codes = {field: field for field", TEST_EVALUATION),
+    Mutant("gold-and-pred-swapped-in-the-bincount-index", EVALUATION,
+           "np.bincount(gold * n + pred,", "np.bincount(pred * n + gold,", TEST_EVALUATION),
+    Mutant("codes-checked-golds-before-preds", EVALUATION,
+           "dict.fromkeys(chain.from_iterable(zip(golds, preds)))", "dict.fromkeys(chain(golds, preds))",
+           TEST_EVALUATION),
+    Mutant("table-equality-skips-the-scores", MODELS,
+           "and np.array_equal(self.scores, other.scores)", "", TEST_MODELS),
     # sentence splitting in the pipeline
     Mutant("sentence-break-narrowed", "src/uralid/pipeline.py",
            'SENTENCE_BREAK = re.compile(r"(?<=[.!?…])(?=\\s)")',

@@ -1,13 +1,20 @@
-"""Brute-force reference scorer used to cross-check the package.
+"""Brute-force reference scorer and label reader used to cross-check the package.
 
 Everything here is written the slow, obvious way on plain dicts: explicit
-substring slicing, explicit backoff loop, no arrays, no sharing with the
-package under test. Numbers that tests pin come from running this code.
+substring slicing, explicit backoff loop, one label line at a time, no arrays
+beyond the confusion matrix it fills cell by cell. The label reader shares
+only the record split, the UTF-8 read and the error type with the package.
+Numbers that tests pin come from running this code.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
+
+import numpy as np
+
+from uralid.errors import DataError, read_utf8, split_records
 
 
 def oracle_tokenize(text: str) -> list[str]:
@@ -151,3 +158,31 @@ def oracle_cjk_ratio(text: str, blocks: list[tuple[int, int]]) -> float:
                 cjk += 1
                 break
     return cjk / visible if visible else 0.0
+
+
+def oracle_load_labels(path, registry) -> list[str]:
+    """Read a label file: either ``sentence<TAB>code`` rows or bare codes."""
+    path = Path(path)
+    labels: list[str] = []
+    for lineno, line in enumerate(split_records(read_utf8(path)), start=1):
+        if not line.strip():
+            continue
+        code = line.rsplit("\t", 1)[-1].strip()
+        if code not in registry:
+            raise DataError(f"{path}:{lineno}: unregistered language code {code!r}")
+        labels.append(code)
+    return labels
+
+
+def oracle_confusion(golds, preds, registry) -> np.ndarray:
+    """Gold x predicted counts, one cell incremented per pair."""
+    golds, preds = list(golds), list(preds)
+    if len(golds) != len(preds):
+        raise DataError(
+            f"gold/pred length mismatch: {len(golds)} vs {len(preds)}"
+        )
+    n = len(registry)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for gold, pred in zip(golds, preds):
+        counts[registry.index(gold), registry.index(pred)] += 1
+    return counts

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_registry
+from oracle import oracle_confusion, oracle_load_labels
 from uralid.errors import DataError
 from uralid.evaluation import (
     compute_track_scores,
@@ -295,3 +296,74 @@ def test_load_labels_rejects_unknown_code_with_line_number(tmp_path):
     path.write_text("fkv\nxxz\n", encoding="utf-8")
     with pytest.raises(DataError, match=":2:"):
         load_labels(path, make_registry())
+
+
+# Label files for comparing load_labels with the per-line reader: both row formats,
+# sentences holding tabs and other breaks, whitespace around codes, blank and
+# whitespace-only lines, every record end, and now and then a bad line.
+PADS = st.sampled_from(["", " ", "\t", " \x85", "\u3000"])
+SENTENCES = st.text(alphabet="ab \t\x85\x0c\u2028", max_size=6)
+BAD_CODES = ["xxz", "FKV", "f kv", ""]
+
+
+def label_rows(codes):
+    tab_rows = st.builds(lambda s, a, c, b: f"{s}\t{a}{c}{b}", SENTENCES, PADS, codes, PADS)
+    return st.one_of(tab_rows, st.builds(lambda a, c, b: a + c + b, PADS, codes, PADS))
+
+
+@st.composite
+def label_files(draw):
+    lines = draw(st.lists(st.one_of(label_rows(st.sampled_from(CODES)), st.sampled_from(["", "\t", " ", "\x85"]))))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(label_rows(st.sampled_from(BAD_CODES))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@pytest.fixture(scope="module")
+def label_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("labels") / "labels.tsv"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=label_files())
+@example(text="kala\t\nfkv\n")  # an empty code on a non-blank line
+@example(text="fkv\n \r\txxz\nizh\r\nxxz\n")  # the first of two bad lines is named
+@example(text=" fkv\t\r\n\x85\rkala\tizh \n\t\n")  # a bare code left of a tab is no code
+def test_load_labels_equals_the_per_line_reader(label_path, text):
+    label_path.write_bytes(text.encode("utf-8"))
+    registry = make_registry()
+    assert outcome(load_labels, label_path, registry) == outcome(oracle_load_labels, label_path, registry)
+
+
+def matrix_outcome(call, golds, preds, registry):
+    counts = outcome(call, golds, preds, registry)
+    return counts if isinstance(counts, str) else (counts.dtype, counts.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.sampled_from(CODES), st.sampled_from(CODES)), max_size=20),
+    bad=st.lists(st.tuples(st.integers(0, 19), st.booleans(), st.sampled_from(BAD_CODES)), max_size=2),
+    short=st.booleans(),
+)
+@example(pairs=[("fkv", "izh"), ("izh", "fkv")], bad=[(1, True, "xxz"), (0, False, "FKV")], short=False)
+@example(pairs=[("fkv", "izh"), ("izh", "fkv")], bad=[(1, False, "xxz"), (1, True, "FKV")], short=False)
+def test_confusion_equals_the_per_pair_count(pairs, bad, short):
+    """The same int64 matrix, or the same error: the first bad pair in order, gold before pred."""
+    golds, preds = [g for g, _ in pairs], [p for _, p in pairs]
+    for at, in_gold, code in bad if pairs else ():
+        (golds if in_gold else preds)[at % len(pairs)] = code
+    if short and preds:
+        preds.pop()
+    registry = make_registry()
+    got = matrix_outcome(lambda *args: confusion(*args).counts, golds, preds, registry)
+    assert got == matrix_outcome(oracle_confusion, golds, preds, registry)

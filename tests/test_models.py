@@ -718,6 +718,33 @@ def test_feature_table_lookups_take_only_the_exact_key(domain, features):
                 table[query]
 
 
+def test_feature_tables_compare_as_the_mappings_they_hold():
+    def built(domain, table):
+        return LanguageModel("fkv", {domain: table}, {domain: 2}).domains[domain]
+
+    def hand_built(features, scores, dtype=object):
+        return models.FeatureTable(np.array(features, dtype=dtype), np.array(scores, dtype=np.float64))
+
+    word, ngram = {" ab ": 0.5, " c ": 1.0}, {"ab": 0.0, "cd": 1.5}
+    tables = [
+        built("word", word), built("word", dict(word)), built("word", {" ab ": 0.5, " c ": 2.0}),
+        built("word", {**word, " d ": 1.0}), built("2", ngram), built("2", {"ab": -0.0, "cd": 1.5}),
+        built("2", {"ab": 0.0, "cd": 1.25}), built("2", {"ab": 0.0, "ce": 1.5}),
+        hand_built(["ab", "cd"], [0.0, 1.5]),  # object keys holding n-grams
+        hand_built(["cd", "ab"], [1.5, 0.0]),  # unsorted
+        hand_built(["ab", "ab", "cd"], [9.0, 0.0, 1.5]),  # repeated, the last one counts
+        hand_built(["ab"], [math.nan], dtype="<U2"), hand_built([], [], dtype="<U2"), hand_built([], []),
+    ]
+    others = tables + [word, ngram, {"ab": 0.0}, {}]
+    for a in tables:
+        for b in others:
+            want = dict(a.items()) == dict(b.items())
+            assert (a == b, b == a, a != b, b != a) == (want, want, not want, not want)
+    equal = {(i, j) for group in ({0, 1}, {4, 5, 8, 9, 10}, {12, 13}) for i in group for j in group if i < j}
+    assert {(i, j) for i, a in enumerate(tables) for j, b in enumerate(tables) if i < j and a == b} == equal
+    assert tables[0] == word and tables[4] == ngram and tables[11] != tables[11]
+
+
 def test_loaded_ngram_tables_equal_the_trained_dicts_both_ways(tmp_path):
     # letters past U+00FF, one whose UTF-32 ends in a zero byte (U+0100), and astral ones
     corpora = [
