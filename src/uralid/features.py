@@ -6,13 +6,17 @@ becomes one word; everything else separates words and is discarded.
 ``tokenize_chunk`` does this for a list of texts in one array pass. Each
 text is lowercased on its own (``İ`` lowers to two code points, so a text's
 bounds are those of its lowered form), and the lowered texts are joined with
-one space and read once as code points. A code point below ``_TABLE_BOUND``
-is a letter by one lookup in a ``str.isalpha`` table; a higher one is
-classified once and remembered, for up to ``_MEMO_LIMIT`` code points, so
-input of many distinct code points cannot make the memo large. Every
-non-letter becomes a space, and the result is decoded and split once; each
-text's word count is the number of word starts within its bounds.
-``tokenize`` is the same rule for one text.
+one space and read once as code points. A code point of the Basic
+Multilingual Plane (below U+10000) is a letter by one lookup in a
+``str.isalpha`` table built at import; the rarer astral ones are classified
+where they occur, each distinct one once per pass, and nothing is kept
+between passes. Every non-letter becomes a space, and the result is decoded
+and split once; each text's word count is the number of word starts within
+its bounds. ``tokenize`` is the same rule for one text.
+
+``chunks`` is the one rule for how many texts a pass takes: identify, the
+pipeline and training all read their texts ``_CHUNK_SIZE`` at a time, which
+bounds the memory a pass takes and changes no result.
 
 Words are padded with exactly one space on each side before n-grams are
 taken, so boundary n-grams are distinguishable from word-internal ones.
@@ -22,33 +26,26 @@ An n-gram is therefore exactly n code points, never U+0000 (not a letter).
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
 import numpy as np
 
 WORD_DOMAIN = "word"
 
-# Code points below this bound are classified by table: the Latin, Greek, Cyrillic and other
-# alphabetic scripts, up to the start of CJK Extension A.
-_TABLE_BOUND = 0x3400
-_IS_LETTER = np.array([chr(cp).isalpha() for cp in range(_TABLE_BOUND)])
+# Texts tokenized in one pass, and sentences (or lines) whose new words are scored together:
+# bounds the memory one pass takes. Read at call time, so tests can change it.
+_CHUNK_SIZE = 256
 
-# Code points at or above the bound that the memo remembers. It only memoizes a function of
-# the code point, so sharing it changes no result.
-_MEMO_LIMIT = 1 << 16
-
-
-class _HighLetters(dict):
-    """Whether a code point at or above ``_TABLE_BOUND`` is a letter, remembered up to the limit."""
-
-    def __missing__(self, cp: int) -> bool:
-        value = chr(cp).isalpha()
-        if len(self) < _MEMO_LIMIT:
-            self[cp] = value
-        return value
+# Whether each code point of the Basic Multilingual Plane is a letter.
+_BMP = 0x10000
+_IS_LETTER = np.fromiter(map(str.isalpha, map(chr, range(_BMP))), bool, _BMP)
 
 
-_HIGH_LETTERS = _HighLetters()
+def chunks(items: Sequence) -> Iterator[Sequence]:
+    """Consecutive slices of ``_CHUNK_SIZE`` items, the size read at call time."""
+    size = _CHUNK_SIZE
+    return (items[start : start + size] for start in range(0, len(items), size))
 
 
 def tokenize_chunk(texts: list[str]) -> tuple[list[str], np.ndarray]:
@@ -56,12 +53,11 @@ def tokenize_chunk(texts: list[str]) -> tuple[list[str], np.ndarray]:
     alphabetic runs, and each text's word count."""
     lowered = [text.lower() for text in texts]
     cp = code_points(" ".join(lowered))
-    letter = _IS_LETTER[np.minimum(cp, _TABLE_BOUND - 1)]
-    high = cp >= _TABLE_BOUND
+    letter = _IS_LETTER[np.minimum(cp, _BMP - 1)]
+    high = cp >= _BMP
     if high.any():
         distinct, at = np.unique(cp[high], return_inverse=True)
-        classes = np.fromiter(map(_HIGH_LETTERS.__getitem__, distinct.tolist()), bool, distinct.shape[0])
-        letter[high] = classes[at]
+        letter[high] = np.array([chr(c).isalpha() for c in distinct.tolist()], dtype=bool)[at]
     starts = np.flatnonzero(letter & ~np.concatenate(([False], letter[:-1])))
     # each text's first code point, then one past the last text's separator
     bounds = np.fromiter(
@@ -101,11 +97,12 @@ def ngram_keys(cp: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
     return cp[starts[:, None] + np.arange(n)].view(f"<U{n}")[:, 0]
 
 
-def padded_code_points(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The code points of the space-padded words laid end to end, and each padded
+def padded_code_points(words: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The space-padded words, their code points laid end to end, and each padded
     word's start and length there."""
-    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
-    return code_points("".join(map(pad_word, words))), lengths.cumsum() - lengths, lengths
+    padded = list(map(pad_word, words))
+    lengths = np.fromiter(map(len, padded), dtype=np.int64, count=len(padded))
+    return padded, code_points("".join(padded)), lengths.cumsum() - lengths, lengths
 
 
 def ngram_windows(cp, starts, lengths, n) -> tuple[np.ndarray, np.ndarray]:

@@ -18,19 +18,22 @@ A chunk of sentences is tokenized at once (``features.tokenize_chunk``)
 into one flat word list and each sentence's word count, and is scored from
 them. Words are scored in batches: ``Scorer.score_words`` looks each distinct
 word up in the candidate set's score table once and scores the rest into
-its spare rows, one backoff step per feature domain. It returns the rows
+its spare rows, one backoff step per feature domain; every step reads the
+words as ``features.padded_code_points`` pads them once. It returns the rows
 in use (read-only), each word's row index and the rows' domains. A word's
-scores do not depend on the batch. Both means add their terms in
-order through one rule, ``running_sums``: a word's feature scores in a
-domain step and a sentence's word rows in ``Scorer.score_sentences``, so
-every score equals the plain left-to-right loop bit for bit.
+scores do not depend on the batch. Once the tables of all candidate sets
+take more than ``_CACHE_BYTES``, spare rows included, all are dropped. Both
+means add their terms in order through one rule, ``running_sums``: a word's
+feature scores in a domain step and a sentence's word rows in
+``Scorer.score_sentences``, so every score equals the plain left-to-right
+loop bit for bit.
 ``Scorer.predict`` turns a chunk of sentences into predictions from one
 such batch, applying the CJK rule and picking winners over the chunk's
 score rows at once. A ``Prediction`` holds its winner, the chunk's candidate
 codes, a read-only view of its score row, and its words' place in the
 chunk's flat word and domain lists; the ``scores`` dict and the
 ``domain_trace`` are built only when read. ``Scorer.predictions`` streams
-them, one ``predict`` call per chunk of ``_CHUNK_SIZE``, and
+them, one ``predict`` call per chunk that ``features.chunks`` cuts, and
 ``Scorer.word_winners`` streams per-word winners over the same chunks, so a
 caller holds one chunk's results at a time. Every entry point takes its
 candidates through ``Scorer.candidate_rows``, which accepts only codes that
@@ -48,7 +51,7 @@ from .errors import DataError
 # extract_ngrams and tokenize stay importable from here: the traced benchmark wraps them in
 # this module.
 from .features import (
-    WORD_DOMAIN, code_points, extract_ngrams, ngram_windows, pad_word, padded_code_points, tokenize,
+    WORD_DOMAIN, chunks, code_points, extract_ngrams, ngram_windows, padded_code_points, tokenize,
     tokenize_chunk,
 )
 from .models import ModelSet, _table_fault, key_dtype, run_starts
@@ -58,12 +61,9 @@ from .registry import DEFAULT_CJK_BLOCKS, LanguageRegistry
 # value above the penalty ceiling guarantees a CJK candidate wins.
 CJK_HIGH_PENALTY = 1000.0
 
-# Cached word rows, summed over a scorer's candidate-set tables, past which all are dropped.
-_CACHE_LIMIT = 1 << 20
-
-# Sentences (or lines) whose new words are scored together: bounds the
-# memory one batch takes. Read at call time, so tests can change it.
-_CHUNK_SIZE = 256
+# Allocated bytes of a scorer's candidate-set tables, spare rows included, past which all are
+# dropped. Read at call time, so tests can change it.
+_CACHE_BYTES = 1 << 27
 
 
 class Prediction:
@@ -112,12 +112,6 @@ class Prediction:
 
     def __repr__(self) -> str:
         return f"Prediction(winner={self.winner!r}, scores={self.scores!r})"
-
-
-def _chunks(items: list) -> Iterator[list]:
-    """Consecutive slices of ``_CHUNK_SIZE`` items, the size read at call time."""
-    size = _CHUNK_SIZE
-    return (items[start : start + size] for start in range(0, len(items), size))
 
 
 def running_sums(rows, index, starts, counts):
@@ -277,13 +271,13 @@ class Scorer:
         # registry row -> candidate position, -1 outside the candidate set
         position = np.full(len(self.registry), -1, dtype=np.int64)
         position[rows] = np.arange(rows.shape[0])
-        cp, starts, lengths = padded_code_points(words)
+        padded, cp, starts, lengths = padded_code_points(words)
         pending = np.ones(len(words), dtype=bool)
         unresolved = np.arange(len(words))
         for domain in self._backoff:
             if domain == WORD_DOMAIN:
                 get = self._vocabs[domain].get
-                ids = np.array([get(pad_word(words[i]), -1) for i in unresolved.tolist()], dtype=np.int64)
+                ids = np.array([get(padded[i], -1) for i in unresolved.tolist()], dtype=np.int64)
                 counts = np.ones(unresolved.shape[0], dtype=np.int64)
             elif self._keys[domain].shape[0]:
                 ids, counts = window_columns(
@@ -350,7 +344,7 @@ class Scorer:
         index = np.fromiter(map(where.__getitem__, words), dtype=np.int64, count=len(words))
         table = table[: len(domains)]
         table.setflags(write=False)
-        if new and sum(len(cached[2]) for cached in self._cache.values()) > _CACHE_LIMIT:
+        if new and sum(cached[1].nbytes for cached in self._cache.values()) > _CACHE_BYTES:
             self._cache = {}
         return table, index, domains
 
@@ -380,7 +374,7 @@ class Scorer:
         self, texts: list[str], rows: np.ndarray, codes: list[str]
     ) -> Iterator[list[str]]:
         """Each text's per-word winners (first minimum in ``codes`` order), a chunk at a time."""
-        for chunk in _chunks(texts):
+        for chunk in chunks(texts):
             words, counts = tokenize_chunk(chunk)
             table, index, _ = self.score_words(words, rows)
             winners = [codes[best] for best in table[index].argmin(axis=1).tolist()]
@@ -407,7 +401,7 @@ class Scorer:
         self, sentences: list[str], rows: np.ndarray, codes: list[str]
     ) -> Iterator[Prediction]:
         """Each sentence's prediction, from one ``predict`` call per chunk."""
-        for chunk in _chunks(sentences):
+        for chunk in chunks(sentences):
             yield from self.predict(chunk, rows, codes)
 
 

@@ -8,16 +8,17 @@ renormalized afterwards. Scores are quantized to 10 significant decimal
 digits at training time, which is also the on-disk precision, so the TSV
 round-trip is bit-exact.
 
-Training counts types first: each corpus's tokens become one count per word
-type. For each n, every n-gram window of every type is read at once from the
-types' padded code points (``ngram_windows``, the rule identify looks n-grams
-up by); the word domain's windows are the padded types themselves. Each
-domain's windows are sorted, and each distinct one sums its types' counts as
-exact integers. The counts equal a token-by-token pass's, while the work grows
-with the types, not the tokens. Each distinct count is scored once. Every
-domain thus comes out as a ``FeatureTable``: its features one sorted key
-array, and its scores one float array. An n-gram domain's keys are fixed-width
-``<U{n}``; the word domain's, which have no fixed width, are ``str`` objects.
+Training counts types first: each corpus's tokens, read a chunk of sentences
+at a time (``features.chunks``), become one count per word type. For each n,
+every n-gram window of every type is read at once from the types' padded code
+points (``ngram_windows``, the rule identify looks n-grams up by); the word
+domain's windows are the padded types themselves. Each domain's windows are
+sorted, and each distinct one sums its types' counts as exact integers. The
+counts equal a token-by-token pass's, while the work grows with the types,
+not the tokens. Each distinct count is scored once. Every domain thus comes
+out as a ``FeatureTable``: its features one sorted key array, and its scores
+one float array. An n-gram domain's keys are fixed-width ``<U{n}``; the word
+domain's, which have no fixed width, are ``str`` objects.
 
 Loading gives the same layout and keeps no per-feature Python object for an
 n-gram domain: a model file's features are gathered from its code points.
@@ -51,7 +52,7 @@ from .errors import DataError, read_utf8, split_records, unify_line_ends
 # extract_ngrams and tokenize stay importable from here: the traced benchmark wraps them in
 # this module.
 from .features import (
-    WORD_DOMAIN, all_domains, code_points, extract_ngrams, ngram_keys, ngram_windows, pad_word,
+    WORD_DOMAIN, all_domains, chunks, code_points, extract_ngrams, ngram_keys, ngram_windows,
     padded_code_points, tokenize, tokenize_chunk,
 )
 from .registry import LanguageRegistry, parse_registry
@@ -59,10 +60,6 @@ from .registry import LanguageRegistry, parse_registry
 # Absolute slack for score range checks: covers the rounding step of the
 # 10-significant-digit quantization at the top of the score range.
 SCORE_RANGE_SLACK = 1e-9
-
-# Sentences of a corpus tokenized in one array pass: bounds the memory a pass takes.
-# Read at call time, so tests can change it.
-_TOKENIZE_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -285,10 +282,10 @@ def train_models(
     models: dict[str, LanguageModel] = {}
     for corpus in corpora:
         types: Counter[str] = Counter()
-        for start in range(0, len(corpus.sentences), _TOKENIZE_SLICE):
-            types.update(tokenize_chunk(corpus.sentences[start : start + _TOKENIZE_SLICE])[0])
+        for chunk in chunks(corpus.sentences):
+            types.update(tokenize_chunk(chunk)[0])
         weights = np.fromiter(types.values(), np.int64, len(types))
-        cp, starts, lengths = padded_code_points(list(types))
+        padded, cp, starts, lengths = padded_code_points(list(types))
         scored: dict[str, FeatureTable] = {}
         totals: dict[str, int] = {}
         for n in range(1, params.n_max + 1):
@@ -297,7 +294,7 @@ def train_models(
                 windows, np.repeat(weights, counts), params.cutoff_c
             )
         if params.use_words:
-            padded = np.array(list(map(pad_word, types)), dtype=object)
+            padded = np.array(padded, dtype=object)
             scored[WORD_DOMAIN], totals[WORD_DOMAIN] = _score_windows(padded, weights, params.cutoff_c)
         models[corpus.language] = LanguageModel(corpus.language, scored, totals)
     return ModelSet(params=params, models=models, registry=registry)
@@ -508,9 +505,9 @@ def _parse_manifest(path: Path):
     return params, registry, model_rows
 
 
-def _load_model_file(path: Path, domain: str, max_score: float, parsed: dict[str, float]):
+def _load_model_file(path: Path, domain: str, max_score: float):
     """The file's ``FeatureTable``: ``<U{n}`` keys for an n-gram domain, ``str`` objects
-    for the word domain. ``parsed`` holds each score text read so far, parsed once.
+    for the word domain. Each distinct score text in the file is parsed once.
 
     Each rule is one mask over the rows that passed the rules before it: one tab
     per row, the width rule, strictly ascending features, a score text
@@ -553,8 +550,8 @@ def _load_model_file(path: Path, domain: str, max_score: float, parsed: dict[str
     rule(np.concatenate(([False], ~(column[1:] > column[:-1]))),
          lambda at: f"features out of order at {cells[2 * at]!r}")
     texts = cells[1 : 2 * rows : 2]
-    unreadable = set()
-    for score_text in set(texts).difference(parsed):
+    parsed, unreadable = {}, set()
+    for score_text in set(texts):
         try:
             parsed[score_text] = _parse_score(score_text)
         except ValueError:
@@ -582,12 +579,11 @@ def load_models(directory) -> ModelSet:
         raise DataError(f"{directory}: missing manifest.tsv")
     params, registry, model_rows = _parse_manifest(manifest_path)
     models: dict[str, LanguageModel] = {}
-    parsed: dict[str, float] = {}
     for lineno, code, domain, total in model_rows:
         rel_path = _model_path(code, domain)
         if not (directory / rel_path).is_file():
             raise DataError(f"{manifest_path}:{lineno}: missing model file {rel_path}")
         model = models.setdefault(code, LanguageModel(code, {}, {}))
-        model.domains[domain] = _load_model_file(directory / rel_path, domain, params.max_score(), parsed)
+        model.domains[domain] = _load_model_file(directory / rel_path, domain, params.max_score())
         model.totals[domain] = total
     return ModelSet(params=params, models=models, registry=registry)

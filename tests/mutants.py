@@ -56,17 +56,22 @@ MUTANTS = [
     Mutant("texts-joined-without-a-separator", FEATURES,
            'cp = code_points(" ".join(lowered))', 'cp = code_points("".join(lowered))', TEST_FEATURES),
     Mutant("high-code-points-read-as-non-letters", FEATURES,
-           "letter[high] = classes[at]", "letter[high] = False", TEST_FEATURES),
+           "letter[high] = np.array([chr(c).isalpha() for c in distinct.tolist()], dtype=bool)[at]",
+           "letter[high] = False", TEST_FEATURES),
+    Mutant("astral-code-point-read-from-the-table", FEATURES,
+           "high = cp >= _BMP", "high = cp > _BMP", TEST_FEATURES),
     Mutant("word-starts-read-one-code-point-early", FEATURES,
            "np.flatnonzero(letter & ~np.concatenate(([False], letter[:-1])))",
            "np.flatnonzero(letter[1:] & ~letter[:-1])", TEST_FEATURES),
-    Mutant("tokenizing-slice-drops-its-last-sentence", MODELS,
-           "corpus.sentences[start : start + _TOKENIZE_SLICE]",
-           "corpus.sentences[start : start + _TOKENIZE_SLICE - 1]", TEST_MODELS),
-    # n-gram windows, shared by training and lookup, and lookup through sorted key arrays
+    Mutant("tokenizing-slice-drops-its-last-sentence", FEATURES,
+           "items[start : start + size]", "items[start : start + size - 1]", TEST_MODELS),
+    # n-gram windows and padded words, shared by training and lookup, and lookup through sorted
+    # key arrays
     Mutant("window-start-off-by-one", FEATURES,
            "counts) + np.arange(counts.sum())", "counts) + np.arange(counts.sum()) + 1",
            TEST_IDENTIFIER + TEST_MODELS),
+    Mutant("word-looked-up-unpadded", IDENTIFIER,
+           "get(padded[i], -1)", "get(words[i], -1)", TEST_IDENTIFIER),
     Mutant("searchsorted-hit-without-equality-check", IDENTIFIER,
            "return np.where(keys[at] == windows, at, -1), counts", "return at, counts", TEST_IDENTIFIER),
     # training: each window counts its word type's count, and every domain comes out sorted
@@ -92,15 +97,15 @@ MUTANTS = [
     # a mapping given to LanguageModel gets <U{n} keys only when they hold each feature whole
     Mutant("conversion-drops-the-nul-clause", MODELS,
            'len(f) == int(domain) and "\\0" not in f', "len(f) == int(domain)", TEST_IDENTIFIER),
-    # the word cache: one table per candidate set, dropped past the limit
+    # the word cache: one table per candidate set, dropped past the byte budget
     Mutant("cache-reset-skipped", IDENTIFIER,
-           "_CACHE_LIMIT:\n            self._cache = {}", "_CACHE_LIMIT:\n            pass", TEST_IDENTIFIER),
+           "_CACHE_BYTES:\n            self._cache = {}", "_CACHE_BYTES:\n            pass", TEST_IDENTIFIER),
     Mutant("new-rows-cached-in-wrong-order", IDENTIFIER,
            "where.update(zip(new, range(used, len(domains))))",
            "where.update(zip(reversed(new), range(used, len(domains))))", TEST_IDENTIFIER),
     Mutant("reset-keeps-the-dropped-tables", IDENTIFIER,
-           "_CACHE_LIMIT:\n            self._cache = {}",
-           "_CACHE_LIMIT:\n            self._cache = {k: ({}, t, []) for k, (_, t, _) in self._cache.items()}",
+           "_CACHE_BYTES:\n            self._cache = {}",
+           "_CACHE_BYTES:\n            self._cache = {k: ({}, t, []) for k, (_, t, _) in self._cache.items()}",
            TEST_IDENTIFIER),
     Mutant("one-cache-key-for-every-candidate-set", IDENTIFIER,
            "key = rows.tobytes()", 'key = b""', TEST_IDENTIFIER),

@@ -27,7 +27,7 @@ from helpers import (
     to_oracle_models,
 )
 from oracle import oracle_cjk_ratio, oracle_score_sentence, oracle_winner
-from uralid import identifier
+from uralid import features, identifier
 from uralid.cli import main
 from uralid.corpus import Corpus
 from uralid.evaluation import confusion, prf, track2
@@ -456,5 +456,5 @@ def test_criterion_10_chunking_never_changes_output(
         assert len(direct) == 10_000
 
         # smaller chunks, on a fresh model set so that every word is scored anew
-        monkeypatch.setattr(identifier, "_CHUNK_SIZE", 64)
+        monkeypatch.setattr(features, "_CHUNK_SIZE", 64)
         assert identify_batch(sentences[:2_000], load_models(model_dir)) == direct[:2_000]

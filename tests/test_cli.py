@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from helpers import ALPHABETS, disjoint_sentences, make_registry
-from uralid import cli, identifier
+from uralid import cli, features, identifier
 from uralid.cli import main
 from uralid.models import load_models
 from uralid.registry import save_registry
@@ -120,7 +120,7 @@ def test_identify_writes_each_chunk_before_scoring_the_next(workspace, tmp_path,
         return predict(self, sentences, rows, codes)
 
     monkeypatch.setattr("sys.stdout", stdout)
-    monkeypatch.setattr(identifier, "_CHUNK_SIZE", 2)
+    monkeypatch.setattr(features, "_CHUNK_SIZE", 2)
     monkeypatch.setattr(identifier.Scorer, "predict", recording_predict)
     assert main(["identify", "--models", str(workspace["models"]), "--input", str(src)]) == 0
     assert rows_at_predict == [0, 2, 4]

@@ -6,7 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracle import oracle_ngrams, oracle_tokenize
-from uralid import features
 from uralid.features import WORD_DOMAIN, all_domains, extract_ngrams, pad_word, tokenize, tokenize_chunk
 
 words = st.text(
@@ -87,22 +86,17 @@ def reference_tokenize(text: str) -> list[str]:
     return ["".join(run) for is_alpha, run in groupby(text.lower(), key=str.isalpha) if is_alpha]
 
 
-def test_tokenize_equals_the_groupby_rule_on_every_code_point(monkeypatch):
-    # a fresh memo, so that filling it to the limit leaves the module's own as it was
-    memo = features._HighLetters()
-    monkeypatch.setattr(features, "_HIGH_LETTERS", memo)
+def test_tokenize_equals_the_groupby_rule_on_every_code_point():
     text = "".join("a" + chr(cp) + "b " for cp in range(sys.maxunicode + 1))  # surrogates too
     assert tokenize(text) == reference_tokenize(text)
-    # more code points lie above the table's bound than the memo keeps
-    assert sys.maxunicode + 1 - features._TABLE_BOUND > features._MEMO_LIMIT
-    assert len(memo) == features._MEMO_LIMIT
-    assert min(memo) >= features._TABLE_BOUND
 
 
 # pieces that break a chunked tokenizer: final sigma, İ (which lowers to two code points),
-# lone surrogates, CJK and astral letters above the table's bound, digits and spaces
+# lone surrogates, CJK, the table's top letter (U+FFDC) and astral letters from U+10000 on,
+# digits and spaces
 PIECES = [
-    "ΟΔΟΣ", "ς", "Σ", "İ", "İİ", "\ud800", "\udfff", "日本", "\U0001d51e", "\U00010428", "a", "Ab", "1", " ", "-",
+    "ΟΔΟΣ", "ς", "Σ", "İ", "İİ", "\ud800", "\udfff", "日本", "\uffdc", "\U00010000", "\U0001d51e", "\U00010428",
+    "a", "Ab", "1", " ", "-",
 ]
 chunk_texts = st.lists(st.one_of(st.sampled_from(PIECES), st.text(max_size=4)), max_size=6).map("".join)
 
@@ -111,7 +105,8 @@ chunk_texts = st.lists(st.one_of(st.sampled_from(PIECES), st.text(max_size=4)), 
 @example(texts=["İİİ", "a"])  # bounds from the unlowered lengths put "a" in the first text
 @example(texts=["ab", "cd"])  # without a separator between texts the two words merge
 @example(texts=["ab", "cd", "", "12", "ef"])  # a word start read one code point early
-@example(texts=["\U0001d51e\U00010428", "日本 ok"])  # letters above the table's bound
+@example(texts=["\U0001d51e\U00010428", "日本 ok"])  # astral letters, above the table
+@example(texts=["\uffdc\U00010000", "x\U00010000"])  # the table's top letter, the first astral one
 def test_tokenize_chunk_equals_tokenizing_each_text(texts):
     words, counts = tokenize_chunk(texts)
     expected = [oracle_tokenize(text) for text in texts]

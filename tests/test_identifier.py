@@ -21,7 +21,7 @@ from helpers import (
     to_oracle_models,
 )
 from oracle import oracle_cjk_ratio, oracle_score_sentence, oracle_score_word, oracle_winner
-from uralid import identifier
+from uralid import features, identifier
 from uralid.corpus import Corpus
 from uralid.errors import DataError
 from uralid.features import extract_ngrams, tokenize, tokenize_chunk
@@ -464,7 +464,7 @@ def test_batch_matches_across_chunk_sizes(monkeypatch):
         for _ in range(600)
     ]
     whole = identify_batch(sentences, disjoint_model_set())
-    monkeypatch.setattr(identifier, "_CHUNK_SIZE", 64)
+    monkeypatch.setattr(features, "_CHUNK_SIZE", 64)
     assert identify_batch(sentences, disjoint_model_set()) == whole
 
 
@@ -495,7 +495,7 @@ def test_batch_ignores_chunking_order_and_cache_state(cjk_models, sentences, dat
     order = data.draw(st.permutations(range(len(sentences))))
     shuffled = [sentences[i] for i in order]
     size = data.draw(st.integers(1, len(sentences) + 1))
-    with mock.patch.object(identifier, "_CHUNK_SIZE", size):
+    with mock.patch.object(features, "_CHUNK_SIZE", size):
         fresh = ModelSet(cjk_models.params, cjk_models.models, cjk_models.registry)
         cold = identify_batch(shuffled, fresh)
         warm = identify_batch(shuffled, cjk_models)
@@ -517,7 +517,7 @@ def test_chunk_sums_are_bit_exact_running_sums(seed, data):
     sentence = st.lists(st.sampled_from(pool), max_size=40).map(" ".join)
     sentences = data.draw(st.lists(sentence, min_size=1, max_size=20))
     chunk = data.draw(st.integers(1, len(sentences) + 1))
-    with mock.patch.object(identifier, "_CHUNK_SIZE", chunk):
+    with mock.patch.object(features, "_CHUNK_SIZE", chunk):
         predictions = identify_batch(sentences, model_set, candidates)
 
     scorer = model_set.scorer()
@@ -626,16 +626,19 @@ def test_word_score_cache_returns_consistent_results():
 
 
 def test_word_cache_resets_keep_scores_and_bound_the_cache(monkeypatch):
-    # batches of up to 8 distinct words against a limit of 5 rows drop the tables often
-    monkeypatch.setattr(identifier, "_CACHE_LIMIT", 5)
     rng = random.Random(23)
     ms = random_model_set(rng)
     scorer = Scorer(ms)
     rows, _ = scorer.candidate_rows()
+    # batches of up to 8 distinct words against a budget of 10 rows drop the tables often
+    monkeypatch.setattr(identifier, "_CACHE_BYTES", 10 * 8 * rows.shape[0])
     pool = [random_word(rng) for _ in range(20)]
 
     def cached_rows():
         return sum(len(domains) for _, _, domains in scorer._cache.values())
+
+    def cached_bytes():
+        return sum(table.nbytes for _, table, _ in scorer._cache.values())
 
     resets = 0
     served = []
@@ -649,9 +652,9 @@ def test_word_cache_resets_keep_scores_and_bound_the_cache(monkeypatch):
         fresh = fresh_table[fresh_index].tobytes(), [fresh_domains[i] for i in fresh_index]
         assert returned == fresh
         served.append((table, index, domains, returned))
-        if new:  # a call past the limit drops every table, within the old max(limit, new) bound
-            assert cached_rows() <= max(identifier._CACHE_LIMIT, new)
-        else:
+        # a call that takes the tables past the budget drops them all, spare rows included
+        assert cached_bytes() <= identifier._CACHE_BYTES
+        if not new:
             assert cached_rows() == before
         resets += cached_rows() < before + new
     assert resets > 0
@@ -745,7 +748,7 @@ def test_window_columns_equal_the_dict_lookups_of_extract_ngrams(words, n, data)
     kept = data.draw(st.lists(st.sampled_from(grams), max_size=len(grams)) if grams else st.just([]))
     keys = sorted(set(kept + extra)) or ["a" * n]
     vocab = {key: column for column, key in enumerate(keys)}
-    cp, starts, lengths = identifier.padded_code_points(words)
+    _, cp, starts, lengths = identifier.padded_code_points(words)
     ids, counts = identifier.window_columns(np.array(keys, dtype=f"<U{n}"), cp, starts, lengths, n)
     want = [[vocab.get(g, -1) for g in extract_ngrams(w, n)] for w in words]
     assert counts.tolist() == [len(w) for w in want]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import make_registry, random_model_set, random_word, to_oracle_models
 from oracle import oracle_train
-from uralid import models
+from uralid import features, models
 from uralid.cli import main
 from uralid.corpus import Corpus
 from uralid.errors import DataError
@@ -233,7 +233,7 @@ def test_training_matches_the_reference_on_unusual_corpora(n_max):
 
 
 def test_training_does_not_depend_on_the_tokenizing_slice(tmp_path, monkeypatch):
-    # the same corpora tokenized a sentence at a time, three at a time and in one slice
+    # the same corpora tokenized a sentence at a time, three at a time and in one chunk
     rng = random.Random(28)
     reg = make_registry()
     pool = [random_word(rng, 6) for _ in range(5)] + ["日本", "İİ", "ΟΔΟΣ", "\U00010400\U00010428"]
@@ -243,8 +243,8 @@ def test_training_does_not_depend_on_the_tokenizing_slice(tmp_path, monkeypatch)
     ]
     params = HeliParams(n_max=4)
     trained, saved = [], []
-    for size in (1, 3, models._TOKENIZE_SLICE):
-        monkeypatch.setattr(models, "_TOKENIZE_SLICE", size)
+    for size in (1, 3, features._CHUNK_SIZE):
+        monkeypatch.setattr(features, "_CHUNK_SIZE", size)
         ms = train_models(corpora, params, reg)
         save_models(ms, tmp_path / str(size))
         trained.append(ms)

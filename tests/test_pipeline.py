@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ALPHABETS, disjoint_model_set, disjoint_sentences, make_registry
-from uralid import identifier
+from uralid import features, identifier
 from uralid.corpus import Corpus
 from uralid.errors import DataError
 from uralid.features import tokenize
@@ -158,7 +158,7 @@ def test_stage1_keeps_the_same_pages_for_any_chunk_size(monkeypatch, chunk):
         sizes.append(len(sentences))
         return predict(self, sentences, rows, codes)
 
-    monkeypatch.setattr(identifier, "_CHUNK_SIZE", chunk)
+    monkeypatch.setattr(features, "_CHUNK_SIZE", chunk)
     monkeypatch.setattr(identifier.Scorer, "predict", counting_predict)
     assert stage1_filter_pages(pages, cjk_models) == expected
     assert sum(sizes) == sum(len(page_lines(page)) for page in pages) > 7
@@ -399,7 +399,7 @@ def test_stages_3_and_5_give_the_same_output_for_any_chunk_size(models, monkeypa
     expected = stage3_filter_lines(lines, models), stage5_label_sentences(lines, models)
     assert expected[0] and expected[1] and len(lines) > 2 * 7
 
-    monkeypatch.setattr(identifier, "_CHUNK_SIZE", chunk)
+    monkeypatch.setattr(features, "_CHUNK_SIZE", chunk)
     fresh = ModelSet(models.params, models.models, models.registry)  # an empty word cache
     assert (stage3_filter_lines(lines, fresh), stage5_label_sentences(lines, fresh)) == expected
 
